@@ -156,9 +156,14 @@ class ClusteringStrategy(ApproximationStrategy):
             # the equal-width prior it was seeded from.
             from repro.core.strategies.equal_width import EqualWidthStrategy
 
+            # The fail count ignores point order, and binary search runs
+            # ~3x faster over sorted keys.  A copy: the stochastic inits
+            # index into ``sample`` by position.
+            ordered = np.sort(sample)
+
             def fails(model: BinModel) -> int:
                 return int(np.count_nonzero(
-                    np.abs(model.approximate(sample) - sample) >= error_bound
+                    np.abs(model.approximate(ordered) - ordered) >= error_bound
                 ))
 
             linear = self._fit_space(sample, k, error_bound, "linear", warm)

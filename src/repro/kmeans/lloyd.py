@@ -4,8 +4,15 @@ The 1-D specialisation matters: NUMARCK clusters *scalar* change ratios
 with k up to 2^B - 1 (255 or 511), and the O(n k) distance matrix of the
 textbook formulation would dominate compression time.  For sorted
 centroids, the nearest centroid of a scalar x is found by binary search
-against the midpoints between adjacent centroids, giving O(n log k)
-assignment with two NumPy calls.
+against the midpoints between adjacent centroids (:func:`assign1d`,
+O(n log k); the encoder's per-point assignment).
+
+Lloyd goes further: in 1-D every cluster is a contiguous run of the
+*sorted* data, so :func:`kmeans1d` sorts the points once per fit
+(O(n log n)) and each sweep only locates the k - 1 cluster boundaries
+by binary search of the midpoints in the sorted data and sums the
+segments between them -- O(k log n + n) per sweep, with labels mapped
+back to input order once, after the last sweep.
 """
 
 from __future__ import annotations
@@ -68,16 +75,58 @@ def assign1d(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.searchsorted(mids, data, side="left").astype(np.int32)
 
 
-def _moments(data: np.ndarray, labels: np.ndarray, k: int,
-             weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cluster (weighted) counts and value sums under ``labels``."""
-    if weights is None:
-        counts = np.bincount(labels, minlength=k).astype(np.float64)
-        sums = np.bincount(labels, weights=data, minlength=k)
-    else:
-        counts = np.bincount(labels, weights=weights, minlength=k)
-        sums = np.bincount(labels, weights=data * weights, minlength=k)
-    return counts, sums
+class _SortedMoments:
+    """Per-cluster moments of 1-D points sorted once per fit.
+
+    The kernel shared by :func:`kmeans1d` and
+    :func:`~repro.kmeans.parallel_kmeans1d`.  Calling it with sorted
+    centroids returns the per-cluster (weighted) counts and value sums of
+    the nearest-centroid partition, using :func:`assign1d`'s tie rule: a
+    point's label is the number of midpoints strictly below it, so each
+    cluster is a sorted run whose inner edges are
+    ``searchsorted(xs, mids, side="right")``.  Segment sums go through
+    ``np.add.reduceat``, not prefix-sum differences, so one cluster's sum
+    never carries the round-off of values outside it (heavy-tailed ratio
+    sets would leak their outliers into every cluster).
+    """
+
+    def __init__(self, data: np.ndarray, weights: np.ndarray | None = None):
+        # Equal values may come out in any order; that changes no label and
+        # no unweighted sum, so the fastest (default) kind will do.
+        self.order = np.argsort(data)
+        self.xs = data[self.order]
+        if weights is None:
+            self.ws = self.wxs = None
+        else:
+            self.ws = weights[self.order]
+            self.wxs = self.xs * self.ws
+
+    def _edges(self, cent: np.ndarray) -> np.ndarray:
+        """Cluster j is the sorted run ``xs[edges[j]:edges[j + 1]]``."""
+        mids = 0.5 * (cent[:-1] + cent[1:])
+        return np.concatenate(
+            ([0], np.searchsorted(self.xs, mids, side="right"), [self.xs.size]))
+
+    def __call__(self, cent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        edges = self._edges(cent)
+        sizes = np.diff(edges)
+        counts = sizes.astype(np.float64)
+        sums = np.zeros(cent.size)
+        filled = sizes > 0
+        starts = edges[:-1][filled]
+        if self.ws is None:
+            sums[filled] = np.add.reduceat(self.xs, starts)
+        else:
+            counts[filled] = np.add.reduceat(self.ws, starts)
+            sums[filled] = np.add.reduceat(self.wxs, starts)
+        return counts, sums
+
+    def labels(self, cent: np.ndarray) -> np.ndarray:
+        """Labels of the points, in input order, against ``cent``."""
+        labels = np.empty(self.xs.size, dtype=np.int32)
+        labels[self.order] = np.repeat(
+            np.arange(cent.size, dtype=np.int32), np.diff(self._edges(cent)))
+        return labels
 
 
 def kmeans1d(
@@ -119,9 +168,12 @@ def kmeans1d(
 
     Notes
     -----
-    Centroids are re-sorted after every update so the midpoint-search
-    assignment stays valid.  Sorting k scalars is negligible next to the
-    O(n log k) assignment.
+    The data are sorted once per fit (O(n log n)); each sweep then costs
+    O(k log n + n): a binary search of the k - 1 centroid midpoints in
+    the sorted data plus one pass of segment sums.  Centroids are
+    re-sorted after every update so the midpoints stay ordered.  Labels
+    follow :func:`assign1d`'s tie rule exactly and are scattered back to
+    input order once, after the last sweep.
     """
     arr = np.asarray(data, dtype=np.float64).ravel()
     if arr.size == 0:
@@ -158,8 +210,8 @@ def kmeans1d(
         # inertia after any sweep is sumsq - 2 c.S + n.c^2, so the history
         # costs two k-sized dot products per sweep instead of an O(n) pass.
         sumsq = float(np.sum(arr * arr if w is None else arr * arr * w))
-        labels = assign1d(arr, cent)
-        counts, sums = _moments(arr, labels, k, w)
+        moments = _SortedMoments(arr, w)
+        counts, sums = moments(cent)
         history: list[float] = []
         n_iter = 0
         converged = False
@@ -170,8 +222,7 @@ def kmeans1d(
             new = np.sort(new)
             move = float(np.max(np.abs(new - cent))) if k else 0.0
             cent = new
-            labels = assign1d(arr, cent)
-            counts, sums = _moments(arr, labels, k, w)
+            counts, sums = moments(cent)
             history.append(max(
                 sumsq - 2.0 * float(cent @ sums) + float(counts @ (cent * cent)),
                 0.0,
@@ -179,6 +230,7 @@ def kmeans1d(
             if move <= move_tol:
                 converged = True
                 break
+        labels = moments.labels(cent)
         sq = (arr - cent[labels]) ** 2
         inertia = float(np.sum(sq if w is None else sq * w))
         tspan.set(n_iter=n_iter, converged=converged, inertia=inertia)

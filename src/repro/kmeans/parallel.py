@@ -3,7 +3,10 @@
 This mirrors the MPI formulation in the parallel k-means package the paper
 cites: every rank holds a shard of the data, assignment is purely local,
 and the centroid update allreduces per-cluster (sum, count) pairs so all
-ranks step to identical centroids each iteration.  With ``SerialComm`` the
+ranks step to identical centroids each iteration.  Each rank sorts its
+shard once per fit (O(n log n)) and runs the same sorted-moments kernel
+as :func:`repro.kmeans.kmeans1d`, so a sweep costs O(k log n + n) local
+work plus one allreduce of k (sum, count) pairs.  With ``SerialComm`` the
 result is bit-identical to :func:`repro.kmeans.kmeans1d` on the
 concatenated data, which the test suite verifies.
 """
@@ -12,19 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kmeans.lloyd import KMeansResult, assign1d
+from repro.kmeans.lloyd import KMeansResult, _SortedMoments
 from repro.parallel.comm import Comm, SerialComm
 from repro.telemetry.tracer import get_telemetry
 
 __all__ = ["parallel_kmeans1d"]
-
-
-def _local_sums(data: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Stack of per-cluster (sum, count) rows for this rank's shard."""
-    out = np.zeros((k, 2), dtype=np.float64)
-    out[:, 0] = np.bincount(labels, weights=data, minlength=k)
-    out[:, 1] = np.bincount(labels, minlength=k)
-    return out
 
 
 def parallel_kmeans1d(
@@ -95,8 +90,13 @@ def parallel_kmeans1d(
         # it at one allreduce per sweep.
         local_sumsq = float(np.sum(arr * arr)) if arr.size else 0.0
         sumsq = allreduce(local_sumsq)
-        labels = assign1d(arr, cent) if arr.size else np.empty(0, dtype=np.int32)
-        sums = allreduce(_local_sums(arr, labels, k))
+        moments = _SortedMoments(arr)
+
+        def local_sums(cent: np.ndarray) -> np.ndarray:
+            counts, sums = moments(cent)
+            return np.column_stack((sums, counts))
+
+        sums = allreduce(local_sums(cent))
         history: list[float] = []
         n_iter = 0
         converged = False
@@ -107,8 +107,7 @@ def parallel_kmeans1d(
             new = np.sort(new)
             move = float(np.max(np.abs(new - cent)))
             cent = new
-            labels = assign1d(arr, cent) if arr.size else labels
-            sums = allreduce(_local_sums(arr, labels, k))
+            sums = allreduce(local_sums(cent))
             history.append(max(
                 sumsq - 2.0 * float(cent @ sums[:, 0])
                 + float(sums[:, 1] @ (cent * cent)),
@@ -117,6 +116,7 @@ def parallel_kmeans1d(
             if move <= move_tol:
                 converged = True
                 break
+        labels = moments.labels(cent)
         local_inertia = float(np.sum((arr - cent[labels]) ** 2)) if arr.size else 0.0
         inertia = allreduce(local_inertia)
         tspan.set(n_iter=n_iter, converged=converged, inertia=inertia)

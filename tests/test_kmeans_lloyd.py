@@ -8,6 +8,41 @@ from hypothesis import strategies as st
 from repro.kmeans import assign1d, histogram_init, kmeans, kmeans1d
 
 
+def _bincount_lloyd(data, init, max_iter=50, tol=1e-10, weights=None):
+    """Reference Lloyd: assign every point each sweep, bincount the moments.
+
+    Returns the final centroids and the direct per-sweep SSE; the sweep
+    count is ``len(history)``.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    cent = np.sort(np.asarray(init, dtype=np.float64))
+    k = cent.size
+    span = float(data.max() - data.min())
+    move_tol = tol * (span if span > 0 else 1.0)
+    wx = data if weights is None else data * weights
+
+    def moments(labels):
+        counts = np.bincount(labels, weights=weights, minlength=k)
+        return counts.astype(np.float64), np.bincount(labels, wx, minlength=k)
+
+    counts, sums = moments(assign1d(data, cent))
+    history = []
+    for _ in range(max_iter):
+        new = cent.copy()
+        nonempty = counts > 0
+        new[nonempty] = sums[nonempty] / counts[nonempty]
+        new = np.sort(new)
+        move = float(np.max(np.abs(new - cent)))
+        cent = new
+        labels = assign1d(data, cent)
+        counts, sums = moments(labels)
+        sq = (data - cent[labels]) ** 2
+        history.append(float(np.sum(sq if weights is None else sq * weights)))
+        if move <= move_tol:
+            break
+    return cent, history
+
+
 class TestAssign1d:
     def test_single_centroid(self):
         labels = assign1d(np.array([1.0, 5.0, -2.0]), np.array([0.0]))
@@ -146,22 +181,14 @@ class TestInertiaHistory:
         assert np.all(np.diff(hist) <= 1e-9 * np.maximum(hist[:-1], 1.0))
 
     def test_matches_direct_sse_each_sweep(self, rng):
-        # Re-run Lloyd by hand and compare the moments-identity history
-        # against a direct SSE at every sweep.
+        # The moments-identity history against a direct SSE at every sweep
+        # of the reference Lloyd.
         data = rng.normal(size=300)
         init = histogram_init(data, 6)
         res = kmeans1d(data, init, max_iter=50)
-        cent = np.sort(np.asarray(init, dtype=np.float64))
-        for sweep, recorded in enumerate(res.inertia_history, start=1):
-            labels = assign1d(data, cent)
-            counts = np.bincount(labels, minlength=cent.size).astype(float)
-            sums = np.bincount(labels, weights=data, minlength=cent.size)
-            new = cent.copy()
-            nonempty = counts > 0
-            new[nonempty] = sums[nonempty] / counts[nonempty]
-            cent = np.sort(new)
-            labels = assign1d(data, cent)
-            sse = float(np.sum((data - cent[labels]) ** 2))
+        _, history = _bincount_lloyd(data, init, max_iter=50)
+        assert res.n_iter == len(history)
+        for recorded, sse in zip(res.inertia_history, history):
             assert recorded == pytest.approx(sse, rel=1e-9, abs=1e-12)
 
     def test_weighted_history(self, rng):
@@ -186,3 +213,85 @@ class TestInertiaHistory:
         serial = kmeans1d(data, init)
         par = parallel_kmeans1d(None, data, init)
         assert par.inertia_history == pytest.approx(serial.inertia_history)
+
+
+def _lloyd_case(seed, n, k, kind, weighting):
+    """Data, initial centroids and weights for one reference comparison."""
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        data = rng.normal(size=n) * rng.uniform(0.1, 10)
+        init = histogram_init(data, k)
+    elif kind == "duplicates":
+        # Multiples of 1/8: many equal values, and every sum is exact.
+        data = np.round(rng.normal(size=n) * 8) / 8
+        init = histogram_init(data, k)
+    elif kind == "midpoints":
+        # Odd integers sit exactly on the midpoints of even seeds.
+        data = rng.integers(-9, 10, n).astype(np.float64)
+        init = 2.0 * rng.choice(np.arange(-5, 6), size=min(k, 11),
+                                replace=False)
+    else:  # "few_values": more centroids than distinct values
+        data = rng.integers(0, 3, n).astype(np.float64)
+        init = rng.uniform(-1, 4, k)
+    weights = None
+    if weighting != "none":
+        weights = rng.uniform(0.5, 2.0, n)
+        if weighting == "zeros":
+            weights[rng.uniform(size=n) < 0.3] = 0.0
+    return data, init, weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 400),
+    k=st.integers(1, 24),
+    kind=st.sampled_from(["normal", "duplicates", "midpoints", "few_values"]),
+    weighting=st.sampled_from(["none", "positive", "zeros"]),
+)
+def test_property_matches_bincount_reference(seed, n, k, kind, weighting):
+    """The sorted-moments Lloyd takes the reference's sweeps, steps to its
+    centroids up to round-off, and labels by :func:`assign1d`'s rule."""
+    data, init, weights = _lloyd_case(seed, n, k, kind, weighting)
+    res = kmeans1d(data, init, max_iter=30, weights=weights)
+    ref, history = _bincount_lloyd(data, init, max_iter=30, weights=weights)
+    assert res.n_iter == len(history)
+    assert len(res.inertia_history) == len(history)
+    scale = float(np.max(np.abs(np.concatenate([data, ref]))))
+    np.testing.assert_allclose(res.centroids, ref, rtol=1e-12,
+                               atol=1e-12 * scale)
+    np.testing.assert_array_equal(res.labels, assign1d(data, res.centroids))
+
+
+class TestSortedKernel:
+    def test_single_centroid(self, rng):
+        data = rng.normal(size=50)
+        res = kmeans1d(data, np.array([3.0]))
+        np.testing.assert_array_equal(res.labels, np.zeros(50, dtype=np.int32))
+        assert res.centroids[0] == pytest.approx(data.mean(), rel=1e-12)
+
+    def test_point_on_midpoint_goes_left(self):
+        # The zero-weight 1.0 pulls on no centroid and sits exactly on the
+        # midpoint of the fitted ones.
+        res = kmeans1d(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0]),
+                       weights=np.array([1.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(res.centroids, [0.0, 2.0])
+        np.testing.assert_array_equal(res.labels, [0, 0, 1])
+
+    def test_empty_clusters_keep_their_centroid(self):
+        data = np.array([1.0, 1.0, 5.0])
+        res = kmeans1d(data, np.array([0.0, 1.0, 3.0, 10.0, 20.0]))
+        np.testing.assert_array_equal(res.centroids, [0.0, 1.0, 5.0, 10.0, 20.0])
+        assert res.inertia == 0.0
+
+    def test_order_invariant(self, rng):
+        data = np.round(rng.normal(size=2000) * 16) / 16 + rng.normal(
+            size=2000) * (rng.uniform(size=2000) < 0.5)
+        init = histogram_init(data, 31)
+        base = kmeans1d(data, init)
+        perm = rng.permutation(data.size)
+        for order in (perm, np.argsort(data), np.argsort(data)[::-1]):
+            res = kmeans1d(data[order], init)
+            np.testing.assert_array_equal(res.centroids, base.centroids)
+            np.testing.assert_array_equal(res.labels, base.labels[order])
+            assert res.n_iter == base.n_iter
