@@ -12,12 +12,15 @@ noise threshold from the *measured* dispersion of both samples::
 and flags a regression only when ``median_cur - median_base`` exceeds it.
 1.4826 rescales a MAD to a normal-equivalent sigma, so ``k`` reads as "k
 sigmas of combined noise".  Improvements (negative deltas beyond the
-threshold) are reported too, but never fail the gate.
+threshold) are reported too, but never fail the gate.  A stage present in
+the baseline but missing from the current run always regresses: it is
+gated as an infinite current time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -97,9 +100,11 @@ def compare_docs(base: Mapping[str, Any], cur: Mapping[str, Any],
                  thresholds: Thresholds | None = None) -> Comparison:
     """Gate one current document against its baseline.
 
-    Compares the scenario total and every stage's self time.  Stages
-    present on only one side are noted, not gated -- a renamed span must
-    not silently pass, but it is a structural change, not a timing one.
+    Compares the scenario total and every stage's self time.  A stage
+    that vanished from the current run is a regression (its current time
+    is infinite): a renamed or dropped span must not silently pass, and a
+    deliberate rename is a rebaseline, which replaces the baseline file.
+    A stage new in the current run has no baseline and is only noted.
     """
     th = thresholds if thresholds is not None else Thresholds()
     validate_bench(base)
@@ -128,6 +133,9 @@ def compare_docs(base: Mapping[str, Any], cur: Mapping[str, Any],
     for stage in sorted(set(base_stages) | set(cur_stages)):
         if stage not in cur_stages:
             out.notes.append(f"{name}: stage {stage!r} vanished from current")
+            b_med, b_mad = _stats(base_stages[stage]["self_s"])
+            out.deltas.append(Delta(name, f"stage:{stage}", b_med, math.inf,
+                                    th.threshold_s(b_med, b_mad, 0.0)))
             continue
         if stage not in base_stages:
             out.notes.append(f"{name}: stage {stage!r} is new (no baseline)")

@@ -1,11 +1,28 @@
 """Vectorised pack/unpack of B-bit unsigned integers.
 
-The implementation avoids Python-level loops over elements: values are
-exploded into a ``(n, B)`` bit matrix with broadcasting, flattened to a bit
-stream, and folded into bytes with :func:`numpy.packbits` (and the reverse
-with :func:`numpy.unpackbits`).  Cost is O(n*B) bit operations performed in
-C, which is adequate for checkpoint-sized arrays (tens of millions of
-points) and keeps the code portable.
+Values are stored LSB-first in a little-endian bit stream: value ``j``
+occupies bits ``j*B .. j*B + B - 1``.  Eight B-bit values fill exactly B
+bytes, so both directions work on groups of eight, without any Python
+loop over elements:
+
+* **pack** zero-pads the values to a multiple of 8 and views them as an
+  ``(m, 8)`` uint64 array.  Lane ``i`` of each group starts at bit ``i*B``
+  of its group, so it is shifted left by ``i*B mod 64`` and OR-ed into
+  64-bit word ``i*B // 64`` of an ``(m, ceil(B/8))`` word array; the bits
+  that cross a word boundary spill into the next word.  The words are
+  viewed as little-endian bytes and the first B bytes of each row are
+  kept.
+* **unpack** copies the stream once into a buffer padded by 8 zero bytes.
+  Lane ``i`` is then one strided, unaligned ``<u8`` view starting at byte
+  ``i*B // 8`` with stride B: shifted right by ``i*B mod 8`` and masked,
+  it yields value ``i`` of every group (``i*B mod 8 + B <= 39`` bits, so
+  one 64-bit load always holds the whole value).
+
+Each direction is 8 (pack: at most 16) vector operations over ``n/8``
+elements, O(n) word operations in total, with O(n) transient memory: one
+padded uint64 copy of the values when packing (8 bytes per value) and one
+padded copy of the stream plus the uint32 result when unpacking.
+Byte-aligned widths (8, 16, 32) are plain little-endian casts.
 """
 
 from __future__ import annotations
@@ -17,6 +34,8 @@ from repro.telemetry.tracer import get_telemetry
 __all__ = ["pack_bits", "unpack_bits", "packed_nbytes"]
 
 _MAX_WIDTH = 32
+#: widths whose values are whole little-endian bytes: plain casts.
+_BYTE_ALIGNED = {8: "<u1", 16: "<u2", 32: "<u4"}
 
 
 def _check_width(width: int) -> None:
@@ -59,29 +78,39 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
         raise TypeError(f"values must be integers, got dtype {vals.dtype}")
     tel = get_telemetry()
     with tel.span("bitpack.pack", n_values=vals.size, width=width) as sp:
-        vals = vals.astype(np.uint64, copy=False)
-        limit = np.uint64(1) << np.uint64(width)
-        if vals.max() >= limit:
-            raise ValueError(
-                f"values exceed {width}-bit range (max={int(vals.max())})")
-
-        # Byte-aligned widths are direct casts (little-endian), ~10x faster
-        # than the generic bit-matrix path and bit-identical to it.
-        if width == 8:
-            out = vals.astype("<u1").tobytes()
-        elif width == 16:
-            out = vals.astype("<u2").tobytes()
-        elif width == 32:
-            out = vals.astype("<u4").tobytes()
+        n = vals.size
+        byte_aligned = width in _BYTE_ALIGNED
+        if byte_aligned:
+            lanes = vals.astype(np.uint64, copy=False)
         else:
-            # (n, width) matrix of bits, LSB first within each value.
-            shifts = np.arange(width, dtype=np.uint64)
-            bits = ((vals[:, None] >> shifts[None, :]) & np.uint64(1)
-                    ).astype(np.uint8)
-            out = np.packbits(bits.reshape(-1), bitorder="little").tobytes()
-        sp.set(bytes_in=vals.size * 8, bytes_out=len(out))
+            # One uint64 copy, zero-padded to whole groups of 8 values.
+            lanes = np.zeros(-(-n // 8) * 8, dtype=np.uint64)
+            lanes[:n] = vals
+        # Negative inputs wrap to huge values and fail the range check.
+        limit = np.uint64(1) << np.uint64(width)
+        if lanes.max() >= limit:
+            raise ValueError(
+                f"values exceed {width}-bit range (max={int(lanes.max())})")
+        if byte_aligned:
+            out = lanes.astype(_BYTE_ALIGNED[width]).tobytes()
+        else:
+            out = _pack_groups(lanes.reshape(-1, 8), width)[
+                : packed_nbytes(n, width)]
+        sp.set(bytes_in=n * 8, bytes_out=len(out))
     tel.metrics.counter("bitpack.bytes_packed").inc(len(out))
     return out
+
+
+def _pack_groups(lanes: np.ndarray, width: int) -> bytes:
+    """Shift-or an ``(m, 8)`` uint64 array into ``m * width`` bytes."""
+    m = lanes.shape[0]
+    words = np.zeros((m, -(-width // 8)), dtype="<u8")
+    for i in range(8):
+        w, shift = divmod(i * width, 64)
+        words[:, w] |= lanes[:, i] << np.uint64(shift)
+        if shift + width > 64:
+            words[:, w + 1] |= lanes[:, i] >> np.uint64(64 - shift)
+    return words.view(np.uint8)[:, :width].tobytes()
 
 
 def unpack_bits(data: bytes | bytearray | np.ndarray, count: int, width: int) -> np.ndarray:
@@ -90,8 +119,10 @@ def unpack_bits(data: bytes | bytearray | np.ndarray, count: int, width: int) ->
     Parameters
     ----------
     data:
-        Byte stream produced by :func:`pack_bits` (extra trailing bytes are
-        ignored; too-short input raises ``ValueError``).
+        Byte stream produced by :func:`pack_bits`, or any buffer over it
+        such as a ``memoryview`` slice (extra trailing bytes are ignored;
+        too-short input raises ``ValueError``).  It is read in place; a
+        non-byte-aligned width copies the packed bytes once.
     count:
         Number of values to recover.
     width:
@@ -100,8 +131,7 @@ def unpack_bits(data: bytes | bytearray | np.ndarray, count: int, width: int) ->
     Returns
     -------
     numpy.ndarray
-        ``count`` values as ``uint32`` (or ``uint64`` when ``width > 31``
-        would overflow the accumulator -- the dtype is always wide enough).
+        ``count`` values as ``uint32`` (``width <= 32``).
     """
     _check_width(width)
     if count < 0:
@@ -110,22 +140,25 @@ def unpack_bits(data: bytes | bytearray | np.ndarray, count: int, width: int) ->
         return np.empty(0, dtype=np.uint32)
     with get_telemetry().span("bitpack.unpack", n_values=count,
                               width=width) as sp:
-        raw = np.frombuffer(bytes(data), dtype=np.uint8)
+        if isinstance(data, np.ndarray):
+            data = np.ascontiguousarray(data)
+        raw = np.frombuffer(data, dtype=np.uint8)
         need = packed_nbytes(count, width)
         sp.set(bytes_in=need, bytes_out=count * 4)
         if raw.size < need:
             raise ValueError(
                 f"need {need} bytes for {count} x {width}-bit values, got {raw.size}")
-        if width == 8:
-            return raw[:need].astype(np.uint32)
-        if width == 16:
-            return raw[:need].view("<u2").astype(np.uint32)
-        if width == 32:
-            return raw[:need].view("<u4").astype(np.uint32)
-        bits = np.unpackbits(raw[:need], bitorder="little")[: count * width]
-        bits = bits.reshape(count, width).astype(np.uint64)
-        shifts = np.arange(width, dtype=np.uint64)
-        out = (bits << shifts[None, :]).sum(axis=1, dtype=np.uint64)
-        if width <= 32:
-            return out.astype(np.uint32)
-        return out
+        if width in _BYTE_ALIGNED:
+            return raw[:need].view(_BYTE_ALIGNED[width]).astype(np.uint32)
+        m = -(-count // 8)
+        # Whole groups plus 8 zero bytes, so every 8-byte load stays inside.
+        buf = np.zeros(m * width + 8, dtype=np.uint8)
+        buf[:need] = raw[:need]
+        mask = np.uint64((1 << width) - 1)
+        out = np.empty((m, 8), dtype=np.uint32)
+        for i in range(8):
+            offset, shift = divmod(i * width, 8)
+            lane = np.ndarray((m,), dtype="<u8", buffer=buf, offset=offset,
+                              strides=(width,))
+            out[:, i] = (lane >> np.uint64(shift)) & mask
+        return out.reshape(-1)[:count]

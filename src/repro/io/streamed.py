@@ -104,7 +104,8 @@ def _parse_chunk(payload: bytes, nbits: int) -> ChunkRecord:
         raise FormatError(f"corrupt chunk payload: {exc}") from exc
     if int(mask.sum()) != n_exact:
         raise FormatError("chunk bitmap population mismatch")
-    return ChunkRecord(start=int(start), indices=indices.astype(np.uint32),
+    return ChunkRecord(start=int(start),
+                       indices=indices.astype(np.uint32, copy=False),
                        incompressible=mask, exact_values=exact)
 
 

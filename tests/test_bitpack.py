@@ -1,11 +1,30 @@
 """Unit and property tests for repro.bitpack."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitpack import pack_bits, packed_nbytes, unpack_bits
+
+
+def _ref_pack(values, width):
+    """Reference packer: the (n, B) bit matrix folded by ``np.packbits``."""
+    vals = np.asarray(values).astype(np.uint64)
+    shifts = np.arange(width, dtype=np.uint64)
+    bits = ((vals[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+
+
+def _ref_unpack(data, count, width):
+    """Reference unpacker: ``np.unpackbits`` into an (n, B) bit matrix."""
+    raw = np.frombuffer(bytes(data), dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")[: count * width]
+    bits = bits.reshape(count, width).astype(np.uint64)
+    shifts = np.arange(width, dtype=np.uint64)
+    return (bits << shifts[None, :]).sum(axis=1, dtype=np.uint64)
 
 
 class TestPackedNbytes:
@@ -122,3 +141,73 @@ def test_property_size_is_minimal(width, n):
     """The packed stream never exceeds ceil(n*width/8) bytes."""
     arr = np.full(n, (1 << width) - 1, dtype=np.uint32)
     assert len(pack_bits(arr, width)) == (n * width + 7) // 8
+
+
+#: integer dtypes the encoder, the baselines and callers hand to pack_bits.
+_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64, np.int64]
+_CONTAINERS = [bytes, bytearray, memoryview,
+               lambda b: np.frombuffer(b, dtype=np.uint8)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(min_value=1, max_value=32),
+       n=st.one_of(st.integers(min_value=0, max_value=17),
+                   st.integers(min_value=18, max_value=300)),
+       fill=st.sampled_from(["random", "zeros", "max"]),
+       dtype=st.sampled_from(_DTYPES),
+       container=st.sampled_from(_CONTAINERS),
+       trailing=st.binary(max_size=9),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_property_matches_bit_matrix_oracle(width, n, fill, dtype, container,
+                                            trailing, seed):
+    """pack_bits is byte-identical to the bit-matrix packer for every
+    width, count, fill and input dtype, and unpack_bits inverts it from
+    any buffer type with trailing bytes."""
+    top = min(width, np.iinfo(dtype).bits)  # widest value the dtype holds
+    if fill == "zeros":
+        vals = np.zeros(n, dtype=dtype)
+    elif fill == "max":
+        vals = np.full(n, (1 << top) - 1, dtype=dtype)
+    else:
+        vals = np.random.default_rng(seed).integers(
+            0, 1 << top, n, dtype=np.uint64).astype(dtype)
+    packed = pack_bits(vals, width)
+    assert packed == _ref_pack(vals, width)
+    out = unpack_bits(container(packed + trailing), n, width)
+    assert out.dtype == np.uint32
+    np.testing.assert_array_equal(out, vals.astype(np.uint64))
+    np.testing.assert_array_equal(_ref_unpack(packed, n, width), out)
+
+
+def test_golden_bytes_width10():
+    """The B=10 layout of .nmk files already on disk keeps decoding."""
+    vals = np.array([0, 1, 1023, 512, 341, 682, 5, 1000, 7], dtype=np.uint32)
+    golden = bytes.fromhex("0004f03f8055a95a00fa0700")
+    assert pack_bits(vals, 10) == golden
+    np.testing.assert_array_equal(unpack_bits(golden, vals.size, 10), vals)
+
+
+class TestPeakMemory:
+    """Transient memory stays O(n): at most 16 bytes per value (a bit
+    matrix would take ~90 for packing and ~150 for unpacking at B=9)."""
+
+    N = 1_000_000
+    WIDTH = 9
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_pack_and_unpack_peak(self):
+        vals = np.random.default_rng(3).integers(
+            0, 1 << self.WIDTH, self.N).astype(np.uint32)
+        packed = pack_bits(vals, self.WIDTH)
+        pack_peak = self._peak(pack_bits, vals, self.WIDTH)
+        unpack_peak = self._peak(unpack_bits, packed, self.N, self.WIDTH)
+        assert pack_peak <= 16 * self.N, pack_peak / self.N
+        assert unpack_peak <= 16 * self.N, unpack_peak / self.N

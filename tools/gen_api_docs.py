@@ -186,7 +186,8 @@ PERFORMANCE_NOTES = """\
 * **Comparator.** `repro bench compare BASELINE CURRENT` gates the
   total wall time and every stage's self time with a noise threshold
   `max(k·1.4826·(MAD_base+MAD_cur), rel_floor·median, abs_floor)`;
-  regressions exit 1, improvements are reported but never fail.
+  regressions exit 1, improvements are reported but never fail. A
+  baseline stage missing from the current run is a regression.
 * **Baseline.** `benchmarks/baselines/` commits a quick-suite
   baseline; CI's `bench-quick` job (manual + nightly) re-runs the
   suite and gates against it.
