@@ -17,7 +17,7 @@ Two reference modes (see :class:`~repro.core.config.NumarckConfig`):
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,8 +58,17 @@ class CheckpointChain:
 
     # -- writing ----------------------------------------------------------
 
-    def append(self, data: np.ndarray) -> CompressionStats:
-        """Encode one more iteration; returns its compression stats."""
+    def append(self, data: np.ndarray, *,
+               persist: Callable[[EncodedIteration], None] | None = None
+               ) -> CompressionStats:
+        """Encode one more iteration; returns its compression stats.
+
+        ``persist``, when given, receives the encoded iteration before the
+        chain takes it.  If it raises, the chain is left as it was (only
+        an adaptive chain's cached bin model keeps what the encode
+        learned), so a durable caller never holds a state its storage
+        lost.
+        """
         arr = np.asarray(data, dtype=np.float64)
         if arr.shape != self._full.shape:
             raise FormatError(
@@ -70,6 +79,8 @@ class CheckpointChain:
         else:
             encoded, _ = encode_pair(self._ref, arr, self.config)
         stats = iteration_stats(self._ref, arr, encoded)
+        if persist is not None:
+            persist(encoded)
         self._deltas.append(encoded)
         self._stats.append(stats)
         if self.config.reference == "original":

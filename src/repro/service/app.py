@@ -61,7 +61,7 @@ class ServiceConfig:
 
 
 class CompressionService:
-    """The service core: submit work, poll jobs, read chains.
+    """The service core: submit work, wait on jobs, read chains.
 
     Use as a context manager (or call :meth:`start` / :meth:`close`); the
     queue installs its telemetry router on start and restores the ambient
@@ -88,6 +88,7 @@ class CompressionService:
 
     def close(self) -> None:
         self.queue.close()
+        self.chains.close()
 
     # -- job submission ------------------------------------------------------
 
@@ -140,8 +141,13 @@ class CompressionService:
 
     # -- jobs ----------------------------------------------------------------
 
-    def job_status(self, job_id: str) -> dict[str, Any]:
-        return self.queue.get(job_id).to_dict()
+    def job_status(self, job_id: str, wait: float = 0.0) -> dict[str, Any]:
+        """Status of a job, after blocking up to ``wait`` seconds for it
+        to finish (returns at once when it already has)."""
+        job = self.queue.get(job_id)
+        if wait > 0:
+            job.finished.wait(wait)
+        return job.to_dict()
 
     def job_result(self, job_id: str) -> bytes:
         return self.queue.result(job_id)

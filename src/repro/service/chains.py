@@ -9,17 +9,25 @@ every later job appends an encoded delta.  Each chain wraps one live
 the model hint rides on the chain, not on the request.
 
 Chains are optionally durable.  With a ``store_dir`` every accepted
-iteration is persisted through the crash-consistent container:
-``CheckpointFile.create`` for the full checkpoint, then per-iteration
-``CheckpointFile.append`` (per-record fsync, O(1) in chain length -- the
-:meth:`~repro.restart.manager.RestartManager.persist_incremental`
-pattern).  On startup existing files are re-opened with
+iteration is persisted through the crash-consistent container, one
+flushed and fsynced record per job, before the job is acknowledged.
+Each durable chain holds one open :class:`~repro.io.container.CheckpointFile`
+writer between jobs, so an append costs the same at any chain length: a
+new chain keeps the writer that wrote its full checkpoint, and a chain
+recovered at start-up opens its writer with ``CheckpointFile.append`` on
+its first delta -- the one scan of its file per server lifetime, which
+also cuts any torn tail.  On startup existing files are re-opened with
 ``recover="tail"`` so a torn tail from a crashed server costs the torn
-record, never the chain.
+record, never the chain.  A failed persist closes the writer (the next
+job scans again, the
+:meth:`~repro.restart.manager.RestartManager.persist_incremental` rule),
+and the chain takes a state only once its record is written, so memory
+never runs ahead of disk.
 """
 
 from __future__ import annotations
 
+import contextlib
 import re
 import threading
 from pathlib import Path
@@ -29,6 +37,7 @@ import numpy as np
 
 from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
+from repro.core.encoder import EncodedIteration
 from repro.errors import ChainNotFoundError, ConfigError, StateError
 from repro.io.container import CheckpointFile, chain_to_bytes, load_chain
 from repro.telemetry.tracer import get_telemetry
@@ -61,6 +70,7 @@ class Chain:
         self.path = path
         self.lock = threading.RLock()
         self.chain: CheckpointChain | None = None
+        self._writer: CheckpointFile | None = None
         self.jobs_accepted = 0
         self.bytes_in = 0
         self.bytes_out = 0
@@ -69,26 +79,27 @@ class Chain:
 
     def append_state(self, state: np.ndarray) -> dict[str, Any]:
         """Absorb one iteration: full checkpoint if the chain is empty,
-        encoded delta otherwise.  Returns a result summary dict."""
+        encoded delta otherwise.  Returns a result summary dict.  With a
+        path the record is on disk before the chain takes the state; a
+        failed write leaves the chain as it was and propagates."""
         arr = np.asarray(state, dtype=np.float64)
+        durable = self.path is not None
         with self.lock, get_telemetry().span(
                 "service.chain.append", chain=self.id,
                 bytes_in=arr.nbytes) as sp:
             if self.chain is None:
-                self.chain = CheckpointChain(arr, self.config)
+                chain = CheckpointChain(arr, self.config)
+                if durable:
+                    self._write_full(chain.full_checkpoint)
+                self.chain = chain
                 kind = "full"
                 reused = False
-                if self.path is not None:
-                    with CheckpointFile.create(self.path, sync=True) as f:
-                        f.write_full(self.chain.full_checkpoint)
             else:
-                self.chain.append(arr)
-                encoded = self.chain.deltas[-1]
+                self.chain.append(
+                    arr, persist=self._write_delta if durable else None)
                 kind = "delta"
-                reused = bool(getattr(encoded, "model_reused", False))
-                if self.path is not None:
-                    with CheckpointFile.append(self.path) as f:
-                        f.write_delta(encoded)
+                reused = bool(getattr(self.chain.deltas[-1],
+                                      "model_reused", False))
             self.jobs_accepted += 1
             self.bytes_in += arr.nbytes
             sp.set(record=kind, model_reused=reused,
@@ -96,6 +107,44 @@ class Chain:
             return {"chain": self.id, "record": kind,
                     "iteration": len(self.chain) - 1,
                     "model_reused": reused}
+
+    def _write_full(self, data: np.ndarray) -> None:
+        """Start the chain's file and keep its writer open."""
+        try:
+            self._writer = CheckpointFile.create(self.path, sync=True)
+            self._writer.write_full(data)
+        except BaseException:
+            self._drop_writer()
+            # No FULL record: leave no header-only file to recover.
+            with contextlib.suppress(OSError):
+                self.path.unlink(missing_ok=True)
+            raise
+
+    def _write_delta(self, encoded: EncodedIteration) -> None:
+        """Append one delta through the held writer.  A chain recovered at
+        start-up opens its writer here: its one scan of the file."""
+        try:
+            if self._writer is None:
+                self._writer = CheckpointFile.append(self.path)
+                # Cut a record a failed rollback left behind; a file
+                # shorter than the chain raises.
+                self._writer.truncate_records(len(self.chain))
+            self._writer.write_delta(encoded)
+        except BaseException:
+            # The handle may sit past a torn record; the next job scans.
+            self._drop_writer()
+            raise
+
+    def _drop_writer(self) -> None:
+        with contextlib.suppress(OSError):
+            self.close()
+
+    def close(self) -> None:
+        """Close the held writer; the next append re-opens the file."""
+        with self.lock:
+            if self._writer is not None:
+                writer, self._writer = self._writer, None
+                writer.close()
 
     def container_bytes(self) -> bytes:
         """The chain as container bytes -- byte-identical to
@@ -204,6 +253,13 @@ class ChainRegistry:
         with self._lock:
             chains = list(self._chains.values())
         return [c.stats() for c in chains]
+
+    def close(self) -> None:
+        """Close every chain's held writer."""
+        with self._lock:
+            chains = list(self._chains.values())
+        for chain in chains:
+            chain.close()
 
     def __len__(self) -> int:
         with self._lock:

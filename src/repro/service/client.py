@@ -138,8 +138,12 @@ class ServiceClient:
 
     # -- job lifecycle -------------------------------------------------------
 
-    def status(self, job_id: str) -> dict[str, Any]:
-        return self._json("GET", f"/v1/jobs/{job_id}")
+    def status(self, job_id: str, wait: float = 0.0) -> dict[str, Any]:
+        """A job's status.  With ``wait`` > 0 the server holds the request
+        until the job finishes or ``wait`` seconds (capped server-side)
+        pass, whichever comes first."""
+        query = f"?wait={wait}" if wait else ""
+        return self._json("GET", f"/v1/jobs/{job_id}{query}")
 
     def jobs(self) -> list[dict[str, Any]]:
         return self._json("GET", "/v1/jobs")["jobs"]
@@ -150,9 +154,10 @@ class ServiceClient:
     def result(self, job_id: str) -> bytes:
         return self._bytes(f"/v1/jobs/{job_id}/result")
 
-    def wait(self, job_id: str, timeout: float = 60.0,
-             poll: float = 0.01) -> dict[str, Any]:
-        """Poll until the job reaches a terminal state; returns its status.
+    def wait(self, job_id: str, timeout: float = 60.0) -> dict[str, Any]:
+        """Long-poll until the job reaches a terminal state; returns its
+        status.  Each request waits at most half the socket timeout, so
+        the server always answers before the socket gives up.
 
         Raises :class:`~repro.errors.StateError` on timeout.  Does not
         raise for failed jobs -- inspect ``status["state"]`` or fetch the
@@ -160,12 +165,13 @@ class ServiceClient:
         """
         deadline = time.monotonic() + timeout
         while True:
-            status = self.status(job_id)
+            remaining = deadline - time.monotonic()
+            status = self.status(
+                job_id, wait=max(min(remaining, self.timeout / 2), 0.0))
             if status["state"] in ("done", "failed", "cancelled"):
                 return status
             if time.monotonic() >= deadline:
                 raise StateError(f"timed out waiting for job {job_id!r}")
-            time.sleep(poll)
 
     # -- high-level round trips ----------------------------------------------
 

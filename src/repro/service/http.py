@@ -5,6 +5,8 @@ Routes (all JSON unless noted)::
     GET  /healthz                        liveness + degradation signal
     GET  /v1/jobs                        job list
     GET  /v1/jobs/<id>                   status + telemetry-fed progress
+    GET  /v1/jobs/<id>?wait=S            same, once the job finishes or
+                                         min(S, 30) seconds pass
     GET  /v1/jobs/<id>/result            result bytes (chunked download)
     POST /v1/jobs/<id>/cancel            cancel a queued job
     GET  /v1/chains                      chain list
@@ -20,15 +22,20 @@ Errors are the :mod:`repro.errors` hierarchy mapped through
 :func:`repro.errors.http_status`; a 429 carries ``Retry-After``.  The
 server is a ``ThreadingHTTPServer``: each request runs on its own thread
 while the actual compression work runs on the job queue's worker pool, so
-slow encodes never block status polls.
+slow encodes never block status requests.  A status request with
+``?wait=S`` is a long-poll: it holds its thread on the job's ``finished``
+event and answers the moment the job reaches a terminal state, so a
+client learns of completion in one request instead of polling.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
+from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import (
     ConfigError,
@@ -44,6 +51,9 @@ __all__ = ["ServiceServer", "serve"]
 _MAX_BODY = 1 << 31  # sanity bound on declared Content-Length
 
 _DOWNLOAD_CHUNK = 1 << 16
+
+#: longest a ``?wait=`` status request holds its thread, in seconds.
+_MAX_STATUS_WAIT = 30.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -142,7 +152,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json({"jobs": svc.list_jobs()})
             return True
         if len(parts) == 2 and parts[0] == "jobs" and method == "GET":
-            self._send_json(svc.job_status(parts[1]))
+            self._send_json(svc.job_status(parts[1], self._status_wait()))
             return True
         if len(parts) == 3 and parts[0] == "jobs":
             if parts[2] == "result" and method == "GET":
@@ -186,6 +196,22 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(job.to_dict(), status=202)
             return True
         return False
+
+    def _status_wait(self) -> float:
+        """The ``?wait=`` long-poll time in seconds, capped; 0 if absent."""
+        values = parse_qs(urlsplit(self.path).query,
+                          keep_blank_values=True).get("wait")
+        if values is None:
+            return 0.0
+        try:
+            wait = float(values[-1])
+        except ValueError:
+            raise ConfigError(
+                f"wait must be a number of seconds, got {values[-1]!r}"
+            ) from None
+        if not math.isfinite(wait) or wait < 0:
+            raise ConfigError(f"wait must be finite and >= 0, got {wait}")
+        return min(wait, _MAX_STATUS_WAIT)
 
     def _header_config(self) -> dict[str, Any] | None:
         """Compression config rides the ``X-Numarck-Config`` header (the

@@ -1,0 +1,154 @@
+"""Durable chain writes behind the compression service.
+
+Each durable chain holds one open append writer, so a compress job must
+not re-scan the chain file; and a failed write must leave the in-memory
+chain exactly as long as the file, so a retried state is encoded against
+the base the file holds.
+"""
+
+import errno
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro import Codec, NumarckConfig
+from repro.errors import NumarckError
+from repro.io import chain_to_bytes, container, load_chain
+from repro.io.container import CheckpointFile
+from repro.service import ServiceClient, ServiceConfig, ServiceServer
+from repro.service.app import CompressionService
+from repro.service.wire import pack_arrays
+
+CFG = {"error_bound": 1e-3, "nbits": 8, "strategy": "equal_width"}
+
+
+def make_states(seed, n=2000, iterations=3):
+    rng = np.random.default_rng(seed)
+    states = [rng.uniform(1.0, 2.0, n)]
+    for _ in range(iterations):
+        states.append(states[-1] * (1.0 + rng.normal(0.0, 2e-3, n)))
+    return states
+
+
+def durable(store, workers=2):
+    return ServiceConfig(workers=workers, capacity=8, store_dir=str(store),
+                         codec=NumarckConfig.from_dict(CFG))
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Count full walks of a container's records."""
+    calls = []
+    original = container._iter_frames
+
+    def counting(fh):
+        calls.append(fh)
+        return original(fh)
+
+    def install():
+        monkeypatch.setattr(container, "_iter_frames", counting)
+        return calls
+
+    return install
+
+
+def compress_all(svc, chain_id, states):
+    for state in states:
+        job = svc.submit_compress(chain_id, pack_arrays([state]))
+        assert svc.queue.wait(job.id, timeout=30).state == "done"
+
+
+class TestHeldWriter:
+    def test_new_chain_never_scans(self, tmp_path, scans):
+        states = make_states(1, n=500, iterations=19)
+        with CompressionService(durable(tmp_path / "s", workers=1)) as svc:
+            calls = scans()
+            compress_all(svc, "c", states)
+        assert len(calls) == 0
+
+    def test_recovered_chain_scans_once(self, tmp_path, scans):
+        states = make_states(2, n=500, iterations=22)
+        with CompressionService(durable(tmp_path / "s", workers=1)) as svc:
+            compress_all(svc, "c", states[:3])
+        # Recovery at start-up reads the file; count only what the
+        # compress jobs do after it.
+        with CompressionService(durable(tmp_path / "s", workers=1)) as svc:
+            calls = scans()
+            compress_all(svc, "c", states[3:])
+            assert svc.chain_stats("c")["iterations"] == len(states)
+        assert len(calls) == 1
+
+
+    def test_concurrent_jobs_share_one_writer(self, tmp_path):
+        # More workers and clients than cores, with frequent thread
+        # switches: every job on the chain goes through the one held
+        # writer, so the file must hold exactly the acknowledged states.
+        clients, per_client = 6, 5
+        store = tmp_path / "s"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServiceServer(durable(store, workers=4)) as srv:
+                def drive(seed):
+                    cl = ServiceClient(port=srv.port)
+                    for state in make_states(seed, n=500,
+                                             iterations=per_client - 1):
+                        assert cl.compress("shared", state,
+                                           retries=200)["state"] == "done"
+
+                threads = [threading.Thread(target=drive, args=(20 + i,))
+                           for i in range(clients)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                assert not any(t.is_alive() for t in threads)
+                cl = ServiceClient(port=srv.port)
+                assert cl.chain_stats("shared")["iterations"] \
+                    == clients * per_client
+                blob = cl.download_chain("shared")
+        finally:
+            sys.setswitchinterval(interval)
+        assert (store / "shared.nmk").read_bytes() == blob
+        assert len(load_chain(store / "shared.nmk")) == clients * per_client
+
+
+class TestPersistFailure:
+    @pytest.mark.parametrize("fail_at", [1, 3], ids=["full", "delta"])
+    def test_failed_write_rolls_back(self, tmp_path, monkeypatch, fail_at):
+        # One ENOSPC on the ``fail_at``-th record write (1 is the FULL
+        # record, 3 the second delta); the client then sends the state
+        # again.  File, download and recovered chain must all equal a
+        # direct encode of the states that were acknowledged.
+        states = make_states(3, iterations=7)
+        store = tmp_path / "s"
+        writes = []
+        original = CheckpointFile._write
+
+        def flaky(self, data):
+            writes.append(len(data))
+            if len(writes) == fail_at:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return original(self, data)
+
+        monkeypatch.setattr(CheckpointFile, "_write", flaky)
+        with ServiceServer(durable(store)) as srv:
+            cl = ServiceClient(port=srv.port)
+            for i, state in enumerate(states):
+                if len(writes) + 1 == fail_at:
+                    with pytest.raises(NumarckError):
+                        cl.compress("flaky", state)
+                    assert cl.chain_stats("flaky")["iterations"] == i
+                assert cl.compress("flaky", state)["state"] == "done"
+            assert len(writes) == len(states) + 1
+            blob = cl.download_chain("flaky")
+
+        expected = chain_to_bytes(Codec(config=NumarckConfig.from_dict(CFG))
+                                  .compress_chain(states))
+        assert (store / "flaky.nmk").read_bytes() == expected
+        assert blob == expected
+        with ServiceServer(durable(store)) as srv2:
+            assert ServiceClient(port=srv2.port).download_chain("flaky") \
+                == expected

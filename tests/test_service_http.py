@@ -5,7 +5,9 @@ to it with ``ServiceClient`` over actual sockets -- concurrency, chunked
 transfer and error mapping are exercised end to end.
 """
 
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -200,6 +202,79 @@ class TestJobControl:
         assert any(j["id"] == job["id"] for j in client.jobs())
 
 
+class TestLongPoll:
+    def _requests(self, monkeypatch, client):
+        calls = []
+        original = client._request
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(client, "_request", counting)
+        return calls
+
+    def _wait_in_thread(self, client, job_id, wait):
+        out = {}
+
+        def run():
+            start = time.monotonic()
+            out["status"] = client.status(job_id, wait=wait)
+            out["elapsed"] = time.monotonic() - start
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        return thread, out
+
+    def test_returns_when_job_finishes(self, server, client, monkeypatch):
+        q = server.service.queue
+        q.pause()
+        try:
+            state = make_states(15, n=300, iterations=0)[0]
+            job = client.submit_compress("long-poll", state, CFG)
+            calls = self._requests(monkeypatch, client)
+            thread, out = self._wait_in_thread(client, job["id"], 5)
+            time.sleep(0.2)
+            assert thread.is_alive()  # held while the job is queued
+        finally:
+            q.resume()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert out["status"]["state"] == "done"
+        assert out["elapsed"] < 2.5
+        assert len(calls) == 1
+
+    def test_cancel_wakes_waiter(self, server, client):
+        q = server.service.queue
+        q.pause()
+        try:
+            state = make_states(16, n=300, iterations=0)[0]
+            job = client.submit_compress("long-poll-cancel", state, CFG)
+            thread, out = self._wait_in_thread(client, job["id"], 5)
+            time.sleep(0.2)
+            client.cancel(job["id"])
+            thread.join(10)
+        finally:
+            q.resume()
+        assert not thread.is_alive()
+        assert out["status"]["state"] == "cancelled"
+        assert out["elapsed"] < 2.5
+
+    def test_unknown_job_404_at_once(self, client):
+        start = time.monotonic()
+        with pytest.raises(JobNotFoundError):
+            client.status("job-12345", wait=5)
+        assert time.monotonic() - start < 2.5
+
+    @pytest.mark.parametrize("value", ["soon", "", "-1", "nan", "inf",
+                                       "-inf"])
+    def test_bad_wait_400(self, client, value):
+        state = make_states(17, n=300, iterations=0)[0]
+        job = client.submit_compress("bad-wait", state, CFG)
+        with pytest.raises(ConfigError):
+            client._json("GET", f"/v1/jobs/{job['id']}?wait={value}")
+
+
 class TestErrorMapping:
     def test_unknown_job_404(self, client):
         with pytest.raises(JobNotFoundError):
@@ -282,8 +357,39 @@ class TestPersistence:
             cl2 = ServiceClient(port=srv2.port)
             stats = cl2.chain_stats("persisted")
             assert stats["iterations"] == len(states)
-            decoded = cl2.decompress(cl2.download_chain("persisted"))
+            assert cl2.download_chain("persisted") == blob
+            decoded = cl2.decompress(blob)
             np.testing.assert_array_equal(decoded[0], states[0])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_close_releases_chain_files(self, tmp_path):
+        store = tmp_path / "chains"
+
+        def open_in_store():
+            fds = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    target = os.readlink(f"/proc/self/fd/{fd}")
+                except OSError:  # closed since the listing
+                    continue
+                if target.startswith(str(store)):
+                    fds.append(target)
+            return fds
+
+        cfg = ServiceConfig(workers=2, capacity=8, store_dir=str(store),
+                            codec=NumarckConfig.from_dict(CFG))
+        srv = ServiceServer(cfg).start()
+        try:
+            cl = ServiceClient(port=srv.port)
+            for state in make_states(14):
+                cl.compress("held", state)
+            # One writer held open between jobs ...
+            assert open_in_store() == [str(store / "held.nmk")]
+        finally:
+            srv.close()
+        # ... and released by close().
+        assert open_in_store() == []
 
     def test_torn_tail_recovered(self, tmp_path):
         states = make_states(12)
@@ -301,6 +407,9 @@ class TestPersistence:
             cl2 = ServiceClient(port=srv2.port)
             stats = cl2.chain_stats("torn")
             assert stats["iterations"] == len(states) - 1
+            # The first append cuts the torn bytes before writing.
+            cl2.compress("torn", states[-1])
+        assert len(load_chain(path)) == len(states)
 
 
 class TestHealth:
