@@ -43,9 +43,7 @@ Sub-packages
     entropy and change-distribution diagnostics.
 """
 
-# NOTE: repro.core must be imported before repro.codec -- repro.core's
-# __init__ pulls in the deprecated pipeline shim, which subclasses Codec,
-# and importing repro.codec first would re-enter repro.core mid-init.
+from repro.codec import Codec
 from repro.core import (
     AdaptiveEncoder,
     CheckpointChain,
@@ -53,29 +51,24 @@ from repro.core import (
     ConfigError,
     EncodedIteration,
     FormatError,
-    NumarckCompressor,
     NumarckConfig,
     NumarckError,
     apply_change,
     change_ratios,
     decode_iteration,
-    encode_iteration,
     pearson_r,
     rmse,
 )
-from repro.codec import Codec
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Codec",
     "AdaptiveEncoder",
-    "NumarckCompressor",
     "NumarckConfig",
     "CheckpointChain",
     "CompressionStats",
     "EncodedIteration",
-    "encode_iteration",
     "decode_iteration",
     "change_ratios",
     "apply_change",

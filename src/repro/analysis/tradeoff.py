@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.config import NumarckConfig
 from repro.core.encoder import encode_pair
-from repro.core.metrics import iteration_stats
+from repro.core.metrics import compression_stats
 
 __all__ = ["TradeoffPoint", "sweep", "pareto_frontier"]
 
@@ -53,8 +53,9 @@ def sweep(prev: np.ndarray, curr: np.ndarray,
     for e in error_bounds:
         for b in nbits:
             cfg = NumarckConfig(error_bound=e, nbits=b, strategy=strategy)
-            enc, _ = encode_pair(prev, curr, cfg)
-            stats = iteration_stats(prev, curr, enc)
+            enc, report = encode_pair(prev, curr, cfg)
+            stats = compression_stats(enc, report.mean_error,
+                                      report.max_error)
             points.append(TradeoffPoint(
                 error_bound=e,
                 nbits=b,

@@ -79,14 +79,6 @@ def _config_from_args(args: argparse.Namespace,
     return NumarckConfig(**kwargs) if kwargs else NumarckConfig()
 
 
-def _hidden_alias(p: argparse.ArgumentParser, *flags: str, dest: str,
-                  **kwargs) -> None:
-    """Register a legacy spelling: parses like the canonical flag but is
-    absent from ``--help`` and never overrides the canonical default."""
-    p.add_argument(*flags, dest=dest, default=argparse.SUPPRESS,
-                   help=argparse.SUPPRESS, **kwargs)
-
-
 def _config_parent() -> argparse.ArgumentParser:
     """Shared parent holding the compression flags, so every subcommand
     spells them identically (``-E`` is the short form of
@@ -111,14 +103,12 @@ def _config_parent() -> argparse.ArgumentParser:
 def _output_parent(*, required: bool = False,
                    default: str | None = None,
                    help_text: str = "output file") -> argparse.ArgumentParser:
-    """Shared parent for the destination flag: canonical ``--output``/
-    ``-o`` with the legacy ``--out`` spelling as a hidden alias."""
+    """Shared parent for the destination flag ``--output``/``-o``."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--output", "-o", dest="output",
                         default=default, help=help_text)
-    _hidden_alias(parent, "--out", dest="output")
-    # argparse's `required=` would not be satisfied by the alias action;
-    # main() enforces presence after parsing instead.
+    # main() enforces presence after parsing, so a missing flag is a
+    # returned exit code 2 rather than a SystemExit from argparse.
     parent.set_defaults(_require_output=required)
     return parent
 
@@ -235,13 +225,14 @@ def _cmd_compress_chain(args: argparse.Namespace) -> int:
 
 
 def _memmap_chunks(path: str, chunk_size: int):
-    """Replayable chunk-iterator factory over a memory-mapped .npy file."""
+    """Replayable chunk-iterator factory over a memory-mapped .npy file
+    (chunks keep the file's dtype, so float32 stays float32)."""
 
     def factory():
         arr = np.load(path, mmap_mode="r")
         flat = arr.reshape(-1)
         for start in range(0, flat.size, chunk_size):
-            yield np.asarray(flat[start : start + chunk_size], dtype=np.float64)
+            yield np.asarray(flat[start : start + chunk_size])
 
     return factory
 
@@ -250,28 +241,18 @@ def _cmd_compress_stream(args: argparse.Namespace) -> int:
     from repro.codec import Codec
     from repro.io import save_streamed
 
-    if args.output is not None:
-        if len(args.paths) != 2:
-            print("error: with --output, give exactly PREV CURR",
-                  file=sys.stderr)
-            return 2
-        prev, curr = args.paths
-    elif len(args.paths) == 3:
-        # Legacy `compress-stream OUTPUT PREV CURR` spelling.
-        args.output, prev, curr = args.paths
-        print("note: positional OUTPUT is deprecated; "
-              "use --output/-o", file=sys.stderr)
-    else:
-        print("error: give PREV CURR with --output OUTPUT "
-              "(or the legacy OUTPUT PREV CURR)", file=sys.stderr)
+    if len(args.paths) != 2:
+        print("error: give exactly PREV CURR (and --output OUTPUT)",
+              file=sys.stderr)
         return 2
+    prev, curr = args.paths
 
     codec = Codec(config=_config_from_args(args), chunk_size=args.chunk_size)
     streamed = codec.compress_stream(_memmap_chunks(prev, args.chunk_size),
                                      _memmap_chunks(curr, args.chunk_size))
     nbytes = save_streamed(args.output, streamed)
     n_exact = sum(c.exact_values.size for c in streamed.chunks)
-    raw = streamed.n_points * 8
+    raw = streamed.n_points * streamed.value_bits // 8
     print(f"{args.output}: {streamed.n_points:,} points in "
           f"{len(streamed.chunks)} chunks | exact {n_exact:,} "
           f"({n_exact / max(streamed.n_points, 1):.2%}) | "
@@ -342,7 +323,7 @@ def _describe_chain(name: str, chain: CheckpointChain, indent: str = "") -> None
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.core.errors import FormatError
+    from repro.errors import FormatError
     from repro.io.container import CheckpointFile
 
     with CheckpointFile.open(args.file) as f:
@@ -617,7 +598,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    from repro.core.errors import FormatError
+    from repro.errors import FormatError
 
     try:
         chain = load_chain(args.chain)
@@ -695,13 +676,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compress-stream",
                        parents=[cfg,
-                                _output_parent(help_text="output .nms "
+                                _output_parent(required=True,
+                                               help_text="output .nms "
                                                          "stream file")],
                        help="chunked compression of one iteration pair "
                             "(out-of-core, memory-mapped)")
     p.add_argument("paths", nargs="+", metavar="PATH",
-                   help="PREV CURR .npy arrays (with --output); the legacy "
-                        "OUTPUT PREV CURR positional form still works")
+                   help="PREV CURR .npy arrays")
     p.add_argument("--chunk-size", type=int, default=1 << 20,
                    help="points per chunk (default 1M)")
     p.set_defaults(func=_cmd_compress_stream)
@@ -774,7 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="timed repeats per scenario (default 5)")
     b.add_argument("--output", "-o", dest="out", default="bench_results",
                    help="output directory (default: bench_results)")
-    _hidden_alias(b, "--out", dest="out")
     b.add_argument("--no-memory", action="store_true",
                    help="skip the separate memory-gauged pass")
     b.set_defaults(func=_cmd_bench_run)

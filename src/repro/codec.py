@@ -1,10 +1,8 @@
-"""The unified compression facade: one object, every entry point.
+"""The compression facade: one configured object for every entry point.
 
-:class:`Codec` replaces three overlapping surfaces that had accreted over
-the project's history -- :class:`~repro.core.pipeline.NumarckCompressor`
-(one-shot pairs), :func:`~repro.core.encoder.encode_iteration` (functional
-form) and :class:`~repro.core.streaming.StreamingEncoder` (chunked) -- with
-a single configured object:
+:class:`Codec` compresses one-shot pairs, multi-iteration chains and
+chunked streams; all three run the same per-point encode kernel
+(:func:`~repro.core.encoder.encode_block`):
 
 >>> import numpy as np
 >>> from repro import Codec, NumarckConfig
@@ -25,7 +23,6 @@ only on drift -- see :mod:`repro.core.adaptive`.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -53,32 +50,11 @@ class Codec:
     chunk_size / sample_size:
         Chunking parameters for :meth:`compress_stream` (points per chunk,
         reservoir size of the model-fit pass).
-
-    .. deprecated::
-        ``Codec(cfg)`` with a positional config still works but warns;
-        use ``Codec(config=cfg)``.
     """
 
-    def __init__(self, *args: NumarckConfig,
-                 config: NumarckConfig | None = None,
+    def __init__(self, *, config: NumarckConfig | None = None,
                  chunk_size: int = 1 << 20,
                  sample_size: int = 200_000) -> None:
-        if args:
-            if len(args) > 1:
-                raise TypeError(
-                    f"Codec() takes at most one positional argument "
-                    f"({len(args)} given)"
-                )
-            if config is not None:
-                raise TypeError(
-                    "Codec() got multiple values for argument 'config'"
-                )
-            warnings.warn(
-                "positional Codec(cfg) is deprecated; use Codec(config=cfg)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = args[0]
         self.config = config if config is not None else NumarckConfig()
         self._chunked = _ChunkedEncoder(self.config, chunk_size, sample_size)
         self._adaptive = (AdaptiveEncoder(self.config)

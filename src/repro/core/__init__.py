@@ -27,15 +27,7 @@ from repro.core.change import ChangeField, apply_change, change_ratios
 from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
 from repro.core.decoder import decode_iteration, decode_region
-from repro.core.encoder import (EncodedIteration, EncodeReport,
-                                encode_iteration, encode_pair)
-from repro.core.errors import (
-    ConfigError,
-    FormatError,
-    NumarckError,
-    SalvageError,
-    SalvageReport,
-)
+from repro.core.encoder import EncodedIteration, EncodeReport, encode_pair
 from repro.core.joint import JointEncodedIteration, decode_joint, encode_joint
 from repro.core.metrics import (
     CompressionStats,
@@ -45,7 +37,6 @@ from repro.core.metrics import (
     pearson_r,
     rmse,
 )
-from repro.core.pipeline import NumarckCompressor
 from repro.core.varset import VariableSet
 from repro.core.theory import (
     closed_loop_error_bound,
@@ -55,7 +46,6 @@ from repro.core.theory import (
 from repro.core.streaming import (
     ChunkRecord,
     StreamedIteration,
-    StreamingEncoder,
     decode_stream,
 )
 from repro.core.strategies import (
@@ -64,12 +54,17 @@ from repro.core.strategies import (
     ClusteringStrategy,
     EqualWidthStrategy,
     LogScaleStrategy,
-    get_strategy,
+)
+from repro.errors import (
+    ConfigError,
+    FormatError,
+    NumarckError,
+    SalvageError,
+    SalvageReport,
 )
 
 __all__ = [
     "NumarckConfig",
-    "NumarckCompressor",
     "VariableSet",
     "CheckpointChain",
     "ChangeField",
@@ -78,7 +73,6 @@ __all__ = [
     "EncodedIteration",
     "EncodeReport",
     "encode_pair",
-    "encode_iteration",
     "AdaptiveEncoder",
     "ReuseStats",
     "decode_iteration",
@@ -91,8 +85,6 @@ __all__ = [
     "EqualWidthStrategy",
     "LogScaleStrategy",
     "ClusteringStrategy",
-    "get_strategy",
-    "StreamingEncoder",
     "StreamedIteration",
     "ChunkRecord",
     "decode_stream",

@@ -25,8 +25,8 @@ from repro.core.adaptive import AdaptiveEncoder
 from repro.core.config import NumarckConfig
 from repro.core.decoder import decode_iteration
 from repro.core.encoder import EncodedIteration, encode_pair
-from repro.core.errors import FormatError
-from repro.core.metrics import CompressionStats, iteration_stats
+from repro.core.metrics import CompressionStats, compression_stats
+from repro.errors import FormatError
 
 __all__ = ["CheckpointChain"]
 
@@ -76,9 +76,10 @@ class CheckpointChain:
             )
         if self._adaptive is not None:
             encoded = self._adaptive.encode(self._ref, arr)
+            report = self._adaptive.last_report
         else:
-            encoded, _ = encode_pair(self._ref, arr, self.config)
-        stats = iteration_stats(self._ref, arr, encoded)
+            encoded, report = encode_pair(self._ref, arr, self.config)
+        stats = compression_stats(encoded, report.mean_error, report.max_error)
         if persist is not None:
             persist(encoded)
         self._deltas.append(encoded)

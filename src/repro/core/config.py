@@ -26,47 +26,13 @@ All tunables of the paper's Algorithm 1 live here:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Literal
 
-from repro.core.errors import ConfigError
+from repro.errors import ConfigError
 
 __all__ = ["NumarckConfig"]
 
-
-class _KwOnlyMeta(type):
-    """Keyword-only construction with a deprecation shim for positional calls.
-
-    The public config surface is keyword-only (positional slots would turn
-    every field reorder into a silent behaviour change); legacy positional
-    calls still work but emit a once-per-callsite ``DeprecationWarning``,
-    mirroring the PR-5 facade shims.
-    """
-
-    def __call__(cls, *args: Any, **kwargs: Any):
-        if args:
-            names = [f.name for f in fields(cls)]
-            if len(args) > len(names):
-                raise TypeError(
-                    f"{cls.__name__}() takes at most {len(names)} "
-                    f"arguments ({len(args)} given)"
-                )
-            warnings.warn(
-                f"positional {cls.__name__}(...) arguments are deprecated; "
-                f"pass fields by keyword "
-                f"(e.g. {cls.__name__}({names[0]}=...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            for name, value in zip(names, args):
-                if name in kwargs:
-                    raise TypeError(
-                        f"{cls.__name__}() got multiple values for "
-                        f"argument {name!r}"
-                    )
-                kwargs[name] = value
-        return super().__call__(**kwargs)
 
 StrategyName = Literal["equal_width", "log_scale", "clustering"]
 ReferenceMode = Literal["original", "reconstructed"]
@@ -75,11 +41,11 @@ InitName = Literal["histogram", "kmeans++", "random"]
 _MAX_NBITS = 16
 
 
-@dataclass(frozen=True)
-class NumarckConfig(metaclass=_KwOnlyMeta):
+@dataclass(frozen=True, kw_only=True)
+class NumarckConfig:
     """Validated bundle of NUMARCK parameters (keyword-only construction).
 
-    Raises :class:`~repro.core.errors.ConfigError` on construction for any
+    Raises :class:`~repro.errors.ConfigError` on construction for any
     out-of-range value, so a config object is always safe to use.
     ``to_dict()`` / ``from_dict()`` round-trip the config through plain
     JSON-compatible dicts -- the wire form used by the compression
@@ -140,7 +106,7 @@ class NumarckConfig(metaclass=_KwOnlyMeta):
     def from_dict(cls, data: dict[str, Any]) -> "NumarckConfig":
         """Rebuild a validated config from :meth:`to_dict` output.
 
-        Unknown keys raise :class:`~repro.core.errors.ConfigError` (typos
+        Unknown keys raise :class:`~repro.errors.ConfigError` (typos
         in a job-submit body must not silently fall back to defaults);
         missing keys take their defaults, so partial dicts work as
         overrides.

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.change import apply_change
 from repro.core.encoder import EncodedIteration
-from repro.core.errors import FormatError
+from repro.errors import FormatError
 from repro.telemetry.tracer import get_telemetry
 
 __all__ = ["decode_iteration", "decode_region"]

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.change import change_ratios
 from repro.core.config import NumarckConfig
-from repro.core.errors import FormatError
+from repro.errors import FormatError
 from repro.kmeans import kmeans
 
 __all__ = ["JointEncodedIteration", "encode_joint", "decode_joint"]

@@ -24,6 +24,7 @@ __all__ = [
     "compression_ratio_actual",
     "pearson_r",
     "rmse",
+    "compression_stats",
     "iteration_stats",
 ]
 
@@ -163,14 +164,10 @@ def rmse(original: np.ndarray, decoded: np.ndarray) -> float:
     return float(np.sqrt(np.mean(d * d)))
 
 
-def iteration_stats(prev: np.ndarray, curr: np.ndarray,
-                    encoded: EncodedIteration) -> CompressionStats:
-    """Full per-iteration summary for an encoded pair."""
-    field = change_ratios(prev, curr)
-    mean_err, max_err = error_rates(
-        field.ratios, encoded.decoded_ratios().reshape(encoded.shape),
-        exact_mask=encoded.incompressible.reshape(encoded.shape) | field.forced_exact,
-    )
+def compression_stats(encoded: EncodedIteration, mean_error: float,
+                      max_error: float) -> CompressionStats:
+    """Per-iteration summary from an encoding and its error rates (the
+    encoder reports those, so a caller need not recompute the ratios)."""
     n = encoded.n_points
     n_inc = encoded.n_incompressible
     n_bins = int(encoded.representatives.size)
@@ -179,10 +176,21 @@ def iteration_stats(prev: np.ndarray, curr: np.ndarray,
         n_incompressible=n_inc,
         n_bins=n_bins,
         nbits=encoded.nbits,
-        mean_error=mean_err,
-        max_error=max_err,
+        mean_error=mean_error,
+        max_error=max_error,
         ratio_paper=compression_ratio_paper(n, n_inc, encoded.nbits,
                                             value_bits=encoded.value_bits),
         ratio_actual=compression_ratio_actual(n, n_inc, encoded.nbits, n_bins,
                                               value_bits=encoded.value_bits),
     )
+
+
+def iteration_stats(prev: np.ndarray, curr: np.ndarray,
+                    encoded: EncodedIteration) -> CompressionStats:
+    """Full per-iteration summary for an encoded pair."""
+    field = change_ratios(prev, curr)
+    mean_err, max_err = error_rates(
+        field.ratios, encoded.decoded_ratios().reshape(encoded.shape),
+        exact_mask=encoded.incompressible.reshape(encoded.shape) | field.forced_exact,
+    )
+    return compression_stats(encoded, mean_err, max_err)

@@ -13,11 +13,8 @@ one iteration:
 
 Strategies are selected from a :class:`~repro.core.config.NumarckConfig`
 through :meth:`ApproximationStrategy.from_config`, the one construction
-path (the old :func:`get_strategy` name/kwargs helper is a deprecated
-shim over it).
+path.
 """
-
-import warnings
 
 from repro.core.strategies.base import ApproximationStrategy, BinModel
 from repro.core.strategies.clustering import ClusteringStrategy
@@ -30,7 +27,6 @@ __all__ = [
     "EqualWidthStrategy",
     "LogScaleStrategy",
     "ClusteringStrategy",
-    "get_strategy",
     "STRATEGIES",
 ]
 
@@ -40,26 +36,3 @@ STRATEGIES: dict[str, type[ApproximationStrategy]] = {
     "clustering": ClusteringStrategy,
 }
 
-
-def get_strategy(name: str, **kwargs) -> ApproximationStrategy:
-    """Instantiate a strategy by registry name.
-
-    .. deprecated::
-        Use :meth:`ApproximationStrategy.from_config` (or construct the
-        strategy class directly); ad-hoc kwargs can silently diverge from
-        the config fields the rest of the pipeline uses.
-    """
-    warnings.warn(
-        "get_strategy() is deprecated; use "
-        "ApproximationStrategy.from_config(config) or construct the "
-        "strategy class directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    try:
-        cls = STRATEGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown strategy {name!r}; available: {sorted(STRATEGIES)}"
-        ) from None
-    return cls(**kwargs)

@@ -9,11 +9,14 @@ structure the paper's in-situ setting implies:
   their running extremes) into the strategy fit -- O(chunk) peak memory;
 * **pass 2 (encode):** stream again, assigning every point against the
   shared :class:`~repro.core.strategies.base.BinModel` and emitting one
-  :class:`ChunkRecord` (indices, bitmap, exact values) per chunk.
+  :class:`ChunkRecord` (indices, bitmap, exact values) per chunk through
+  the one encode kernel, :func:`~repro.core.encoder.encode_block`.
 
 The per-point guarantee is identical to the one-shot encoder: assignment
 and the exactness check are exhaustive; only *bin placement* is estimated
-from the sample.  ``decode_stream`` reverses chunk by chunk.
+from the sample.  ``decode_stream`` reverses chunk by chunk.  Chunks keep
+their dtype: when pass 1 sees only float32 chunks, the stream records
+``value_bits=32`` and its exact values are stored as float32.
 
 The chunk records concatenate to exactly the arrays a one-shot
 :class:`~repro.core.encoder.EncodedIteration` would hold, and
@@ -35,13 +38,10 @@ The public entry point is :meth:`repro.Codec.compress_stream`:
 ...     iter(np.array_split(prev, 5)), streamed)))
 >>> bool(np.max(np.abs(out / curr - 1)) < 2e-3)
 True
-
-(The old :class:`StreamingEncoder` name remains as a deprecated shim.)
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -49,11 +49,12 @@ import numpy as np
 
 from repro.core.change import change_ratios
 from repro.core.config import NumarckConfig
-from repro.core.encoder import EncodedIteration, _fit_model
-from repro.core.errors import FormatError
+from repro.core.encoder import (EncodedIteration, _fit_model, candidate_index,
+                                encode_block)
 from repro.core.strategies.base import BinModel
+from repro.errors import FormatError
 
-__all__ = ["ChunkRecord", "StreamingEncoder", "decode_stream"]
+__all__ = ["ChunkRecord", "StreamedIteration", "decode_stream"]
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,8 @@ class StreamedIteration:
     zero_reserved: bool
     representatives: np.ndarray
     chunks: tuple[ChunkRecord, ...]
+    #: 32 when every source chunk was float32 (exact values stored as f4).
+    value_bits: int = 64
 
     def as_encoded_iteration(self) -> EncodedIteration:
         """Concatenate the chunks into a one-shot-equivalent encoding."""
@@ -100,6 +103,7 @@ class StreamedIteration:
             error_bound=self.error_bound,
             strategy=self.strategy,
             zero_reserved=self.zero_reserved,
+            value_bits=self.value_bits,
         )
 
 
@@ -130,7 +134,8 @@ class _ChunkedEncoder:
     # -- pass 1 -------------------------------------------------------------
 
     def _fit_from_stream(self, prev_chunks: Iterable[np.ndarray],
-                         curr_chunks: Iterable[np.ndarray]) -> tuple[BinModel | None, int]:
+                         curr_chunks: Iterable[np.ndarray]
+                         ) -> tuple[BinModel | None, int, int]:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         reservoir = np.empty(self.sample_size, dtype=np.float64)
@@ -138,18 +143,17 @@ class _ChunkedEncoder:
         seen = 0
         lo, hi = np.inf, -np.inf
         n_points = 0
+        widths: set[int] = set()
         for prev, curr in zip(prev_chunks, curr_chunks):
-            prev = np.asarray(prev, dtype=np.float64).ravel()
-            curr = np.asarray(curr, dtype=np.float64).ravel()
+            prev = np.asarray(prev).ravel()
+            curr = np.asarray(curr).ravel()
             if prev.shape != curr.shape:
                 raise FormatError("chunk shape mismatch between streams")
             n_points += prev.size
+            widths.add(32 if curr.dtype == np.float32 else 64)
             field = change_ratios(prev, curr)
             r = field.ratios
-            if cfg.reserve_zero_bin:
-                cand = r[(np.abs(r) >= cfg.error_bound) & ~field.forced_exact]
-            else:
-                cand = r[~field.forced_exact]
+            cand = r[candidate_index(r, field.forced_exact, cfg)]
             if cand.size == 0:
                 continue
             lo = min(lo, float(cand.min()))
@@ -173,46 +177,32 @@ class _ChunkedEncoder:
                 slots = rng.integers(0, self.sample_size, int(accept.sum()))
                 reservoir[slots] = rest[accept]
             seen += cand.size
+        value_bits = 32 if widths == {32} else 64
         if seen == 0:
-            return None, n_points
+            return None, n_points, value_bits
         sample = reservoir[:filled] if filled < self.sample_size else reservoir
         # Pin the extremes so the model spans the full candidate range.
         sample = np.concatenate([sample, [lo, hi]])
-        return _fit_model(sample, cfg), n_points
+        return _fit_model(sample, cfg), n_points, value_bits
 
     # -- pass 2 -------------------------------------------------------------
 
     def _encode_chunk(self, start: int, prev: np.ndarray, curr: np.ndarray,
-                      model: BinModel | None) -> ChunkRecord:
-        cfg = self.config
-        prev = np.asarray(prev, dtype=np.float64).ravel()
-        curr = np.asarray(curr, dtype=np.float64).ravel()
-        field = change_ratios(prev, curr)
-        r = field.ratios
-        n = r.size
-        indices = np.zeros(n, dtype=np.uint32)
-        incompressible = field.forced_exact.copy()
-        if cfg.reserve_zero_bin:
-            cand_mask = (np.abs(r) >= cfg.error_bound) & ~field.forced_exact
-        else:
-            cand_mask = ~field.forced_exact
-        cand_idx = np.flatnonzero(cand_mask)
-        if cand_idx.size:
-            if model is None:
-                incompressible[cand_idx] = True
-            else:
-                cand = r[cand_idx]
-                labels = model.assign(cand)
-                approx = model.representatives[labels]
-                ok = np.abs(approx - cand) < cfg.error_bound
-                offset = 1 if cfg.reserve_zero_bin else 0
-                indices[cand_idx[ok]] = labels[ok].astype(np.uint32) + offset
-                incompressible[cand_idx[~ok]] = True
+                      model: BinModel | None, value_bits: int) -> ChunkRecord:
+        curr = np.asarray(curr).ravel()
+        field = change_ratios(np.asarray(prev).ravel(), curr)
+        block = encode_block(field.ratios, field.forced_exact, curr, model,
+                             self.config)
+        if block.value_bits > value_bits:
+            raise FormatError(
+                f"streams changed between passes: chunk at {start} is "
+                f"{curr.dtype}, pass 1 saw only float32"
+            )
         return ChunkRecord(
             start=start,
-            indices=indices,
-            incompressible=incompressible,
-            exact_values=curr[incompressible].copy(),
+            indices=block.indices,
+            incompressible=block.incompressible,
+            exact_values=block.exact_values,
         )
 
     def encode(self, prev_stream_factory, curr_stream_factory) -> StreamedIteration:
@@ -223,12 +213,12 @@ class _ChunkedEncoder:
         encode pass).  Corresponding chunks must have equal sizes.
         """
         cfg = self.config
-        model, n_points = self._fit_from_stream(prev_stream_factory(),
-                                                curr_stream_factory())
+        model, n_points, value_bits = self._fit_from_stream(
+            prev_stream_factory(), curr_stream_factory())
         chunks: list[ChunkRecord] = []
         start = 0
         for prev, curr in zip(prev_stream_factory(), curr_stream_factory()):
-            record = self._encode_chunk(start, prev, curr, model)
+            record = self._encode_chunk(start, prev, curr, model, value_bits)
             chunks.append(record)
             start += record.n_points
         if start != n_points:
@@ -245,12 +235,13 @@ class _ChunkedEncoder:
             zero_reserved=cfg.reserve_zero_bin,
             representatives=reps,
             chunks=tuple(chunks),
+            value_bits=value_bits,
         )
 
     def encode_arrays(self, prev: np.ndarray, curr: np.ndarray) -> StreamedIteration:
         """Convenience: encode in-memory arrays through the chunked path."""
-        p = np.asarray(prev, dtype=np.float64).ravel()
-        c = np.asarray(curr, dtype=np.float64).ravel()
+        p = np.asarray(prev).ravel()
+        c = np.asarray(curr).ravel()
         if p.shape != c.shape:
             raise FormatError(f"shape mismatch: {p.shape} vs {c.shape}")
         nsplit = max(1, -(-p.size // self.chunk_size))
@@ -259,26 +250,6 @@ class _ChunkedEncoder:
             return lambda: iter(np.array_split(arr, nsplit))
 
         return self.encode(chunks(p), chunks(c))
-
-
-class StreamingEncoder(_ChunkedEncoder):
-    """Two-pass chunked encoder.
-
-    .. deprecated::
-        Use :class:`repro.Codec` -- ``Codec(config=config, chunk_size=...)``
-        with :meth:`~repro.Codec.compress_stream` /
-        :meth:`~repro.Codec.decompress_stream`.
-    """
-
-    def __init__(self, config: NumarckConfig | None = None,
-                 chunk_size: int = 1 << 20, sample_size: int = 200_000) -> None:
-        warnings.warn(
-            "StreamingEncoder is deprecated; use repro.Codec(config=config, "
-            "chunk_size=...).compress_stream(...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(config, chunk_size, sample_size)
 
 
 def decode_stream(prev_chunks: Iterator[np.ndarray],

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.checkpoint import CheckpointChain
-from repro.core.errors import StateError
+from repro.errors import StateError
 from repro.core.config import NumarckConfig
 from repro.core.metrics import CompressionStats
 

@@ -3,10 +3,9 @@
 Every error the library raises on purpose derives from :class:`NumarckError`,
 so ``except NumarckError`` at any boundary (CLI, service, embedding
 application) catches exactly the library's own failures and nothing else.
-The hierarchy grew up scattered -- config/format errors lived in
-``repro.core.errors``, :class:`RankFailureError` in ``repro.parallel.faults``
--- and this module is now their single home; the old import paths remain
-valid aliases.
+This module is the single home of the hierarchy;
+:class:`RankFailureError` is also importable from ``repro.parallel.faults``,
+as the same class.
 
 Each concrete error also keeps its historical builtin base
 (:class:`ConfigError` is still a :class:`ValueError`,

@@ -41,7 +41,7 @@ from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
 from repro.core.decoder import decode_iteration
 from repro.core.encoder import EncodedIteration
-from repro.core.errors import FormatError, SalvageError, SalvageReport
+from repro.errors import FormatError, SalvageError, SalvageReport
 from repro.io.durable import atomic_write, retry_io
 from repro.io.format import (
     FORMAT_VERSION,

@@ -22,6 +22,11 @@ preceding delta of the same chain -- repeated tables are thereby stored
 once per run of reuse hits.  Exact values appear in flat index order,
 i.e. the j-th set bit of the bitmap corresponds to ``exact[j]``.
 
+The last four fields are the *point tail*, shared with the ``CHNK``
+records of :mod:`repro.io.streamed`: one writer
+(:func:`_pack_point_tail`) and one parser (:func:`_parse_point_tail`,
+which also checks the bitmap population and the index range) serve both.
+
 Format version 2 introduced bits 2/3; version-1 files (which can never
 carry them) read back unchanged.
 """
@@ -34,7 +39,7 @@ import numpy as np
 
 from repro.bitpack import pack_bits, packed_nbytes, unpack_bits
 from repro.core.encoder import EncodedIteration
-from repro.core.errors import FormatError
+from repro.errors import FormatError
 
 __all__ = [
     "MAGIC",
@@ -95,6 +100,61 @@ def decode_full_bytes(payload: bytes) -> np.ndarray:
     return data.reshape(shape)
 
 
+def _pack_point_tail(indices: np.ndarray, incompressible: np.ndarray,
+                     exact_values: np.ndarray, nbits: int,
+                     value_bits: int) -> bytes:
+    """``n_exact:u64 exact bitmap packed_indices``; exact values as f4
+    when ``value_bits`` is 32, else f8."""
+    exact = np.ascontiguousarray(exact_values,
+                                 dtype="<f4" if value_bits == 32 else "<f8")
+    bitmap = np.packbits(incompressible.astype(np.uint8), bitorder="little")
+    return (struct.pack("<Q", exact.size) + exact.tobytes() + bitmap.tobytes()
+            + pack_bits(indices, nbits))
+
+
+def _parse_point_tail(buf: memoryview, off: int, n: int, nbits: int, *,
+                      float32: bool, n_reps: int, zero_reserved: bool
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of :func:`_pack_point_tail` for ``n`` points at ``off``;
+    returns ``(indices, incompressible, exact_values)``.
+
+    Raises :class:`FormatError` on truncation, when the bitmap population
+    differs from the exact-value count, and when an index points past the
+    ``n_reps``-entry table.
+    """
+    try:
+        (n_exact,) = struct.unpack_from("<Q", buf, off)
+        off += 8
+        width = 4 if float32 else 8
+        exact = np.frombuffer(buf[off : off + width * n_exact],
+                              dtype="<f4" if float32 else "<f8"
+                              ).astype(np.float64)
+        if exact.size != n_exact:
+            raise FormatError("truncated exact-value stream")
+        off += width * n_exact
+        bitmap_bytes = (n + 7) // 8
+        raw_bitmap = np.frombuffer(buf[off : off + bitmap_bytes], dtype=np.uint8)
+        if raw_bitmap.size != bitmap_bytes:
+            raise FormatError("truncated incompressibility bitmap")
+        incompressible = np.unpackbits(raw_bitmap, bitorder="little")[:n].astype(bool)
+        off += bitmap_bytes
+        indices = unpack_bits(buf[off : off + packed_nbytes(n, nbits)], n, nbits)
+    except (struct.error, ValueError) as exc:
+        raise FormatError(f"corrupt point data: {exc}") from exc
+
+    if int(incompressible.sum()) != n_exact:
+        raise FormatError(
+            f"bitmap population ({int(incompressible.sum())}) does not match "
+            f"exact-value count ({n_exact})"
+        )
+    max_valid = n_reps if zero_reserved else max(n_reps - 1, 0)
+    if indices.size and int(indices.max()) > max_valid:
+        raise FormatError(
+            f"index {int(indices.max())} exceeds bin table of {n_reps} entries"
+        )
+    return indices.astype(np.uint32, copy=False), incompressible, exact
+
+
 def encode_delta_bytes(enc: EncodedIteration, *, table_ref: bool = False) -> bytes:
     """Serialise one encoded iteration.
 
@@ -122,20 +182,9 @@ def encode_delta_bytes(enc: EncodedIteration, *, table_ref: bool = False) -> byt
     reps = np.ascontiguousarray(enc.representatives, dtype="<f8")
     if table_ref:
         reps = np.empty(0, dtype="<f8")
-    exact_dtype = "<f4" if enc.value_bits == 32 else "<f8"
-    exact = np.ascontiguousarray(enc.exact_values, dtype=exact_dtype)
-    bitmap = np.packbits(enc.incompressible.astype(np.uint8), bitorder="little")
-    packed = pack_bits(enc.indices, enc.nbits)
-
-    body = (
-        struct.pack("<I", reps.size)
-        + reps.tobytes()
-        + struct.pack("<Q", exact.size)
-        + exact.tobytes()
-        + bitmap.tobytes()
-        + packed
-    )
-    return head + body
+    return (head + struct.pack("<I", reps.size) + reps.tobytes()
+            + _pack_point_tail(enc.indices, enc.incompressible,
+                               enc.exact_values, enc.nbits, enc.value_bits))
 
 
 def decode_delta_bytes(payload: bytes,
@@ -161,61 +210,32 @@ def decode_delta_bytes(payload: bytes,
         if reps.size != n_reps:
             raise FormatError("truncated representatives table")
         off += 8 * n_reps
-        if flags & _FLAG_TABLE_REF:
-            if prev_reps is None:
-                raise FormatError(
-                    "table-reference delta needs the preceding delta's "
-                    "representative table (prev_reps)"
-                )
-            reps = np.asarray(prev_reps, dtype=np.float64).copy()
-            n_reps = reps.size
-        (n_exact,) = struct.unpack_from("<Q", buf, off)
-        off += 8
-        exact_width = 4 if flags & _FLAG_FLOAT32_VALUES else 8
-        exact_dtype = "<f4" if exact_width == 4 else "<f8"
-        exact = np.frombuffer(
-            buf[off : off + exact_width * n_exact], dtype=exact_dtype
-        ).astype(np.float64)
-        if exact.size != n_exact:
-            raise FormatError("truncated exact-value stream")
-        off += exact_width * n_exact
-
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        bitmap_bytes = (n + 7) // 8
-        raw_bitmap = np.frombuffer(buf[off : off + bitmap_bytes], dtype=np.uint8)
-        if raw_bitmap.size != bitmap_bytes:
-            raise FormatError("truncated incompressibility bitmap")
-        incompressible = np.unpackbits(raw_bitmap, bitorder="little")[:n].astype(bool)
-        off += bitmap_bytes
-
-        idx_bytes = packed_nbytes(n, nbits)
-        indices = unpack_bits(buf[off : off + idx_bytes], n, nbits)
-        off += idx_bytes
     except (struct.error, ValueError) as exc:
         raise FormatError(f"corrupt delta payload: {exc}") from exc
-
-    if int(incompressible.sum()) != n_exact:
-        raise FormatError(
-            f"bitmap population ({int(incompressible.sum())}) does not match "
-            f"exact-value count ({n_exact})"
-        )
+    if flags & _FLAG_TABLE_REF:
+        if prev_reps is None:
+            raise FormatError(
+                "table-reference delta needs the preceding delta's "
+                "representative table (prev_reps)"
+            )
+        reps = np.asarray(prev_reps, dtype=np.float64).copy()
     zero_reserved = bool(flags & _FLAG_ZERO_RESERVED)
-    max_valid = n_reps if zero_reserved else max(n_reps - 1, 0)
-    if indices.size and int(indices.max()) > max_valid:
-        raise FormatError(
-            f"index {int(indices.max())} exceeds bin table of {n_reps} entries"
-        )
+    float32 = bool(flags & _FLAG_FLOAT32_VALUES)
+    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    indices, incompressible, exact = _parse_point_tail(
+        buf, off, n, nbits, float32=float32, n_reps=reps.size,
+        zero_reserved=zero_reserved)
     return EncodedIteration(
         shape=shape,
         nbits=int(nbits),
         representatives=reps,
-        indices=indices.astype(np.uint32, copy=False),
+        indices=indices,
         incompressible=incompressible,
         exact_values=exact,
         error_bound=float(error_bound),
         strategy=strategy,
         zero_reserved=zero_reserved,
-        value_bits=32 if flags & _FLAG_FLOAT32_VALUES else 64,
+        value_bits=32 if float32 else 64,
         model_reused=bool(flags & _FLAG_MODEL_REUSED),
     )
 

@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
 from repro.core.decoder import decode_iteration
-from repro.core.errors import FormatError, SalvageError, SalvageReport
+from repro.errors import FormatError, SalvageError, SalvageReport
 from repro.io.container import HEADER_SIZE, CheckpointFile, WriteHook
 from repro.io.durable import atomic_write, retry_io
 from repro.io.format import (

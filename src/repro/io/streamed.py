@@ -5,9 +5,12 @@ and written as one delta record, but that defeats the point of streaming:
 the writer would materialise the whole iteration.  This module stores the
 stream as-is --
 
-* one ``SHDR`` record: stream metadata + the shared representative table;
-* one ``CHNK`` record per chunk: start offset, indices (bit-packed),
-  incompressibility bitmap, exact values --
+* one ``SHDR`` record: stream metadata + the shared representative table
+  (flag bit 0 = zero index reserved, bit 1 = exact values stored as
+  float32, the same bits a delta record uses);
+* one ``CHNK`` record per chunk: ``start:u64 n:u64`` followed by the point
+  tail of a delta payload (``n_exact:u64 exact bitmap packed_indices``),
+  written and parsed by the same code as in :mod:`repro.io.format` --
 
 so both writing and reading touch one chunk at a time.  Reading back
 yields a ``StreamedIteration`` whose chunks decode against the same
@@ -18,15 +21,17 @@ from __future__ import annotations
 
 import io
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from repro.bitpack import pack_bits, packed_nbytes, unpack_bits
-from repro.core.errors import FormatError
 from repro.core.streaming import ChunkRecord, StreamedIteration
+from repro.errors import FormatError
 from repro.io.container import CheckpointFile, _check_header
 from repro.io.durable import atomic_write, retry_io
+from repro.io.format import (_FLAG_FLOAT32_VALUES, _FLAG_ZERO_RESERVED,
+                             _pack_point_tail, _parse_point_tail)
 from repro.telemetry.tracer import get_telemetry
 
 __all__ = ["save_streamed", "load_streamed", "streamed_to_bytes",
@@ -35,12 +40,12 @@ __all__ = ["save_streamed", "load_streamed", "streamed_to_bytes",
 TAG_STREAM_HEADER = b"SHDR"
 TAG_CHUNK = b"CHNK"
 
-_FLAG_ZERO_RESERVED = 0x01
-
 
 def _header_payload(streamed: StreamedIteration) -> bytes:
     strategy = streamed.strategy.encode("ascii")
     flags = _FLAG_ZERO_RESERVED if streamed.zero_reserved else 0
+    if streamed.value_bits == 32:
+        flags |= _FLAG_FLOAT32_VALUES
     reps = np.ascontiguousarray(streamed.representatives, dtype="<f8")
     return (
         struct.pack("<QBBB", streamed.n_points, streamed.nbits, flags,
@@ -52,7 +57,8 @@ def _header_payload(streamed: StreamedIteration) -> bytes:
     )
 
 
-def _parse_header(payload: bytes):
+def _parse_header(payload: bytes) -> StreamedIteration:
+    """The stream's metadata and table, as a chunk-less iteration."""
     try:
         n_points, nbits, flags, slen = struct.unpack_from("<QBBB", payload, 0)
         off = 11
@@ -67,46 +73,43 @@ def _parse_header(payload: bytes):
             raise FormatError("truncated representative table")
     except (struct.error, UnicodeDecodeError) as exc:
         raise FormatError(f"corrupt stream header: {exc}") from exc
-    return (int(n_points), int(nbits), bool(flags & _FLAG_ZERO_RESERVED),
-            strategy, float(error_bound), reps)
-
-
-def _chunk_payload(chunk: ChunkRecord, nbits: int) -> bytes:
-    exact = np.ascontiguousarray(chunk.exact_values, dtype="<f8")
-    bitmap = np.packbits(chunk.incompressible.astype(np.uint8),
-                         bitorder="little")
-    return (
-        struct.pack("<QQQ", chunk.start, chunk.n_points, exact.size)
-        + exact.tobytes()
-        + bitmap.tobytes()
-        + pack_bits(chunk.indices, nbits)
+    return StreamedIteration(
+        n_points=int(n_points),
+        nbits=int(nbits),
+        error_bound=float(error_bound),
+        strategy=strategy,
+        zero_reserved=bool(flags & _FLAG_ZERO_RESERVED),
+        representatives=reps,
+        chunks=(),
+        value_bits=32 if flags & _FLAG_FLOAT32_VALUES else 64,
     )
 
 
-def _parse_chunk(payload: bytes, nbits: int) -> ChunkRecord:
+def _chunk_payload(chunk: ChunkRecord, streamed: StreamedIteration) -> bytes:
+    return (struct.pack("<QQ", chunk.start, chunk.n_points)
+            + _pack_point_tail(chunk.indices, chunk.incompressible,
+                               chunk.exact_values, streamed.nbits,
+                               streamed.value_bits))
+
+
+def _parse_chunk(payload: bytes, header: StreamedIteration) -> ChunkRecord:
+    buf = memoryview(payload)
     try:
-        start, n, n_exact = struct.unpack_from("<QQQ", payload, 0)
-        off = 24
-        exact = np.frombuffer(payload[off : off + 8 * n_exact],
-                              dtype="<f8").copy()
-        if exact.size != n_exact:
-            raise FormatError("truncated exact stream in chunk")
-        off += 8 * n_exact
-        bitmap_bytes = (n + 7) // 8
-        raw = np.frombuffer(payload[off : off + bitmap_bytes], dtype=np.uint8)
-        if raw.size != bitmap_bytes:
-            raise FormatError("truncated bitmap in chunk")
-        mask = np.unpackbits(raw, bitorder="little")[:n].astype(bool)
-        off += bitmap_bytes
-        idx_bytes = packed_nbytes(n, nbits)
-        indices = unpack_bits(payload[off : off + idx_bytes], n, nbits)
-    except (struct.error, ValueError) as exc:
+        start, n = struct.unpack_from("<QQ", buf, 0)
+    except struct.error as exc:
         raise FormatError(f"corrupt chunk payload: {exc}") from exc
-    if int(mask.sum()) != n_exact:
-        raise FormatError("chunk bitmap population mismatch")
-    return ChunkRecord(start=int(start),
-                       indices=indices.astype(np.uint32, copy=False),
+    indices, mask, exact = _parse_point_tail(
+        buf, 16, n, header.nbits, float32=header.value_bits == 32,
+        n_reps=header.representatives.size,
+        zero_reserved=header.zero_reserved)
+    return ChunkRecord(start=int(start), indices=indices,
                        incompressible=mask, exact_values=exact)
+
+
+def _write_records(f: CheckpointFile, streamed: StreamedIteration) -> None:
+    f.write_record(TAG_STREAM_HEADER, _header_payload(streamed))
+    for chunk in streamed.chunks:
+        f.write_record(TAG_CHUNK, _chunk_payload(chunk, streamed))
 
 
 def save_streamed(path: str | Path, streamed: StreamedIteration, *,
@@ -122,16 +125,10 @@ def save_streamed(path: str | Path, streamed: StreamedIteration, *,
     def _write_all() -> None:
         if durable:
             with atomic_write(path) as fh:
-                f = CheckpointFile.from_handle(fh)
-                _write_records(f)
+                _write_records(CheckpointFile.from_handle(fh), streamed)
         else:
             with CheckpointFile.create(path) as f:
-                _write_records(f)
-
-    def _write_records(f: CheckpointFile) -> None:
-        f.write_record(TAG_STREAM_HEADER, _header_payload(streamed))
-        for chunk in streamed.chunks:
-            f.write_record(TAG_CHUNK, _chunk_payload(chunk, streamed.nbits))
+                _write_records(f, streamed)
 
     with get_telemetry().span("io.save_streamed",
                               n_chunks=len(streamed.chunks),
@@ -147,15 +144,11 @@ def save_streamed(path: str | Path, streamed: StreamedIteration, *,
 
 def streamed_to_bytes(streamed: StreamedIteration) -> bytes:
     """Serialise a streamed iteration to container bytes (same layout as
-    :func:`save_streamed`, byte for byte).  In-memory twin used by the
-    compression service's stream endpoints."""
+    :func:`save_streamed`, byte for byte)."""
     buf = io.BytesIO()
     with get_telemetry().span("io.streamed_to_bytes",
                               n_chunks=len(streamed.chunks)) as sp:
-        f = CheckpointFile.from_handle(buf)
-        f.write_record(TAG_STREAM_HEADER, _header_payload(streamed))
-        for chunk in streamed.chunks:
-            f.write_record(TAG_CHUNK, _chunk_payload(chunk, streamed.nbits))
+        _write_records(CheckpointFile.from_handle(buf), streamed)
         data = buf.getvalue()
         sp.set(bytes_out=len(data))
     return data
@@ -185,7 +178,7 @@ def _read_stream_records(f: CheckpointFile):
         elif tag == TAG_CHUNK:
             if header is None:
                 raise FormatError("chunk before stream header")
-            chunks.append(_parse_chunk(payload, header[1]))
+            chunks.append(_parse_chunk(payload, header))
         else:
             raise FormatError(f"unexpected record tag {tag!r}")
     return header, chunks
@@ -201,10 +194,10 @@ def load_streamed(path: str | Path) -> StreamedIteration:
     return _assemble_stream(header, chunks)
 
 
-def _assemble_stream(header, chunks: list[ChunkRecord]) -> StreamedIteration:
+def _assemble_stream(header: StreamedIteration | None,
+                     chunks: list[ChunkRecord]) -> StreamedIteration:
     if header is None:
         raise FormatError("no stream header record")
-    n_points, nbits, zero_reserved, strategy, error_bound, reps = header
     expected = 0
     for chunk in chunks:
         if chunk.start != expected:
@@ -212,16 +205,8 @@ def _assemble_stream(header, chunks: list[ChunkRecord]) -> StreamedIteration:
                 f"chunk at offset {chunk.start}, expected {expected}"
             )
         expected += chunk.n_points
-    if expected != n_points:
+    if expected != header.n_points:
         raise FormatError(
-            f"chunks cover {expected} points, header declares {n_points}"
+            f"chunks cover {expected} points, header declares {header.n_points}"
         )
-    return StreamedIteration(
-        n_points=n_points,
-        nbits=nbits,
-        error_bound=error_bound,
-        strategy=strategy,
-        zero_reserved=zero_reserved,
-        representatives=reps,
-        chunks=tuple(chunks),
-    )
+    return replace(header, chunks=tuple(chunks))

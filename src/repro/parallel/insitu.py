@@ -16,7 +16,8 @@ shared across ranks (paper: "minimal data movement (mostly in place)").
    are refined with distributed Lloyd iterations
    (:func:`~repro.kmeans.parallel_kmeans1d`), whose allreduce traffic is
    O(k) per iteration;
-4. every rank assigns and error-checks its own points exhaustively against
+4. every rank runs the one encode kernel
+   (:func:`~repro.core.encoder.encode_block`) on its own points against
    the shared table and builds its local
    :class:`~repro.core.encoder.EncodedIteration`.
 
@@ -95,20 +96,6 @@ class GlobalStats:
         return self.n_incompressible / self.n_points if self.n_points else 0.0
 
 
-def _local_candidates(prev: np.ndarray, curr: np.ndarray,
-                      cfg: "NumarckConfig") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    from repro.core.change import change_ratios
-
-    field = change_ratios(prev, curr)
-    r = field.ratios.ravel()
-    forced = field.forced_exact.ravel()
-    if cfg.reserve_zero_bin:
-        mask = (np.abs(r) >= cfg.error_bound) & ~forced
-    else:
-        mask = ~forced
-    return r, forced, mask
-
-
 def parallel_encode(
     comm: Comm | None,
     local_prev: np.ndarray,
@@ -126,7 +113,9 @@ def parallel_encode(
 
     Returns this rank's encoded shard plus the *global* statistics
     (identical on every rank).  With ``SerialComm`` the result matches the
-    serial encoder up to sampling of the model fit.
+    serial encoder up to sampling of the model fit; with a hint reused
+    unconditionally (``hint_drift=None``) it is identical to
+    :func:`~repro.core.encoder.encode_pair` with the same hint.
 
     ``fit_mode`` selects how the shared bin table is learned:
 
@@ -150,8 +139,9 @@ def parallel_encode(
 
     ``model_hint`` (a :class:`~repro.core.strategies.base.BinModel` every
     rank already holds, e.g. from the previous timestep's encode) enables
-    the adaptive reuse path: each rank checks the hinted table against its
-    local candidates, one O(1) allreduce agrees on the *global* fail
+    the adaptive reuse path: each rank encodes its shard against the hinted
+    table (on a reuse hit that run is the encode), one O(1) allreduce
+    agrees on the *global* fail
     fraction, and if it has not drifted more than ``hint_drift`` above
     ``hint_baseline`` the whole fit pipeline -- sample gather, root fit,
     table broadcast, Lloyd refinement -- is skipped (``hint_drift=None``
@@ -160,15 +150,16 @@ def parallel_encode(
     from the hinted centers.  The per-point bound E is unaffected either
     way.
     """
+    from repro.core.change import change_ratios
     from repro.core.config import NumarckConfig
-    from repro.core.encoder import EncodedIteration, _fit_model
+    from repro.core.encoder import _fit_model, candidate_index, encode_block
     from repro.core.strategies.base import BinModel
     from repro.kmeans import parallel_kmeans1d
 
     comm = comm if comm is not None else SerialComm()
     cfg = config if config is not None else NumarckConfig()
-    prev = np.asarray(local_prev, dtype=np.float64)
-    curr = np.asarray(local_curr, dtype=np.float64)
+    prev = np.asarray(local_prev)
+    curr = np.asarray(local_curr)
     if prev.shape != curr.shape:
         raise ValueError(f"shard shape mismatch: {prev.shape} vs {curr.shape}")
 
@@ -183,18 +174,20 @@ def parallel_encode(
 
     tel = get_telemetry()
     with tel.span("insitu.parallel_encode", rank=comm.rank, size=comm.size,
-                  n_local=int(np.asarray(curr).size)) as tspan:
-        ratios, forced, cand_mask = _local_candidates(prev, curr, cfg)
-        cand = ratios[cand_mask]
+                  n_local=int(curr.size)) as tspan:
+        change = change_ratios(prev, curr)
+        ratios = change.ratios.ravel()
+        forced = change.forced_exact.ravel()
+        cand_idx = candidate_index(ratios, forced, cfg)
+        cand = ratios[cand_idx]
 
         reused = False
-        if model_hint is not None and model_hint.n_bins:
+        if model_hint is not None:
             # -- adaptive reuse: collective drift check, O(1) traffic -----
-            local_fail = int(np.count_nonzero(
-                np.abs(model_hint.approximate(cand) - cand) >= cfg.error_bound
-            )) if cand.size else 0
+            block = encode_block(ratios, forced, curr, model_hint, cfg,
+                                 cand_idx)
             with comm.phase("insitu.hint_validate"):
-                totals = _allreduce(np.array([cand.size, local_fail],
+                totals = _allreduce(np.array([cand.size, block.n_fail],
                                              dtype=np.int64))
             n_cand_global = int(totals[0])
             fail_frac = int(totals[1]) / n_cand_global if n_cand_global else 0.0
@@ -237,8 +230,7 @@ def parallel_encode(
                 all_samples = np.concatenate(live) if live else np.empty(0)
                 if all_samples.size:
                     ws = (model_hint.representatives
-                          if model_hint is not None and model_hint.n_bins
-                          else None)
+                          if model_hint is not None else None)
                     model = _fit_model(all_samples, cfg, warm_start=ws)
                     reps = model.representatives
                 else:
@@ -274,37 +266,13 @@ def parallel_encode(
                     reps = candidate
 
         # -- exhaustive local assignment and exactness check ----------------
-        n = ratios.size
-        indices = np.zeros(n, dtype=np.uint32)
-        incompressible = forced.copy()
-        cand_idx = np.flatnonzero(cand_mask)
-        if cand_idx.size:
-            if reps.size:
-                model = BinModel(reps)
-                labels = model.assign(ratios[cand_idx])
-                approx = reps[labels]
-                ok = np.abs(approx - ratios[cand_idx]) < cfg.error_bound
-                offset = 1 if cfg.reserve_zero_bin else 0
-                indices[cand_idx[ok]] = labels[ok].astype(np.uint32) + offset
-                incompressible[cand_idx[~ok]] = True
-            else:
-                incompressible[cand_idx] = True
-
-        encoded = EncodedIteration(
-            shape=curr.shape,
-            nbits=cfg.nbits,
-            representatives=np.asarray(reps, dtype=np.float64),
-            indices=indices,
-            incompressible=incompressible,
-            exact_values=curr.ravel()[incompressible].copy(),
-            error_bound=cfg.error_bound,
-            strategy=cfg.strategy,
-            zero_reserved=cfg.reserve_zero_bin,
-            model_reused=reused,
-        )
+        if not reused:
+            table = BinModel(reps) if reps.size else None
+            block = encode_block(ratios, forced, curr, table, cfg, cand_idx)
+        encoded = block.as_iteration(curr.shape, cfg, model_reused=reused)
         with comm.phase("insitu.stats"):
-            n_points_global = _allreduce(n)
-            n_incompressible_global = _allreduce(int(incompressible.sum()))
+            n_points_global = _allreduce(encoded.n_points)
+            n_incompressible_global = _allreduce(encoded.n_incompressible)
         lost = comm.lost_ranks
         stats = GlobalStats(
             n_points=n_points_global,

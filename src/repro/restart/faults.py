@@ -46,7 +46,7 @@ from typing import BinaryIO
 import numpy as np
 
 from repro.core.config import NumarckConfig
-from repro.core.errors import SalvageReport
+from repro.errors import SalvageReport
 from repro.io.container import load_chain
 from repro.restart.manager import RestartManager, _relative_error
 

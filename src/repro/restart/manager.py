@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.checkpoint import CheckpointChain
-from repro.core.errors import StateError
+from repro.errors import StateError
 from repro.core.config import NumarckConfig
 from repro.core.varset import VariableSet
 from repro.io.container import CheckpointFile, WriteHook

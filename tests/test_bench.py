@@ -242,7 +242,7 @@ class TestBenchCli:
         out = tmp_path / "results"
         assert main(["bench", "run", "--quick", "--scenario", HOT,
                      "--repeats", "2", "--no-memory",
-                     "--out", str(out)]) == 0
+                     "--output", str(out)]) == 0
         assert (out / f"BENCH_{HOT}.json").exists()
         captured = capsys.readouterr().out
         assert HOT in captured and "median" in captured

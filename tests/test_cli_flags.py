@@ -1,5 +1,5 @@
-"""Normalized CLI flag surface: canonical spellings, hidden aliases,
-the global --trace flag and the serve subcommand's parser."""
+"""Normalized CLI flag surface: canonical spellings, the global --trace
+flag and the serve subcommand's parser."""
 
 import json
 
@@ -32,6 +32,8 @@ class TestErrorBoundAlias:
 
 class TestOutputAlias:
     def test_extract_accepts_out_alias(self, tmp_path, arrays):
+        # No code registers ``--out``; argparse accepts it as the unique
+        # prefix of ``--output``.
         chain = str(tmp_path / "c.nmk")
         main(["init", chain, arrays[0]])
         out = str(tmp_path / "x.npy")
@@ -68,10 +70,12 @@ class TestCompressStreamForms:
         assert "deprecated" not in capsys.readouterr().err
 
     def test_legacy_positional_form(self, tmp_path, arrays, capsys):
-        out = str(tmp_path / "s.nms")
-        assert main(["compress-stream", out, arrays[0], arrays[1],
-                     "--chunk-size", "1024"]) == 0
-        assert "deprecated" in capsys.readouterr().err
+        # OUTPUT PREV CURR without --output is rejected, nothing written.
+        out = tmp_path / "s.nms"
+        assert main(["compress-stream", str(out), arrays[0], arrays[1],
+                     "--chunk-size", "1024"]) == 2
+        assert "--output/-o is required" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wrong_arity_rejected(self, tmp_path, arrays, capsys):
         assert main(["compress-stream", arrays[0]]) == 2

@@ -20,7 +20,7 @@ class TestStreamCommands:
     def test_compress_decompress_roundtrip(self, tmp_path, pair_files):
         pp, cp, prev, curr = pair_files
         stream = str(tmp_path / "s.nms")
-        assert main(["compress-stream", stream, pp, cp,
+        assert main(["compress-stream", pp, cp, "-o", stream,
                      "--chunk-size", "8192", "--error-bound", "1e-3"]) == 0
         out = str(tmp_path / "out.npy")
         assert main(["decompress-stream", stream, pp, "-o", out]) == 0
@@ -31,13 +31,14 @@ class TestStreamCommands:
     def test_stream_file_smaller_than_raw(self, tmp_path, pair_files, capsys):
         pp, cp, _, curr = pair_files
         stream = tmp_path / "s.nms"
-        main(["compress-stream", str(stream), pp, cp, "--chunk-size", "8192"])
+        main(["compress-stream", pp, cp, "-o", str(stream),
+              "--chunk-size", "8192"])
         assert stream.stat().st_size < 0.3 * curr.nbytes
 
     def test_wrong_reference_rejected(self, tmp_path, pair_files, capsys):
         pp, cp, *_ = pair_files
         stream = str(tmp_path / "s.nms")
-        main(["compress-stream", stream, pp, cp, "--chunk-size", "8192"])
+        main(["compress-stream", pp, cp, "-o", stream, "--chunk-size", "8192"])
         short = tmp_path / "short.npy"
         np.save(short, np.ones(10))
         rc = main(["decompress-stream", stream, str(short),
@@ -52,8 +53,26 @@ class TestStreamCommands:
         np.save(pp, prev)
         np.save(cp, curr)
         stream = str(tmp_path / "s.nms")
-        assert main(["compress-stream", stream, str(pp), str(cp),
+        assert main(["compress-stream", str(pp), str(cp), "-o", stream,
                      "--chunk-size", "4096"]) == 0
         out = str(tmp_path / "o.npy")
         assert main(["decompress-stream", stream, str(pp), "-o", out]) == 0
         assert np.load(out).size == 20_000
+
+    def test_float32_input_stays_float32(self, tmp_path, rng):
+        from repro.io import load_streamed
+
+        prev = rng.uniform(1, 2, 20_000).astype(np.float32)
+        curr = (prev * (1 + rng.normal(0, 0.002, 20_000))).astype(np.float32)
+        prev[::50] = 0.0  # stored exactly
+        pp, cp = tmp_path / "p.npy", tmp_path / "c.npy"
+        np.save(pp, prev)
+        np.save(cp, curr)
+        stream = str(tmp_path / "s.nms")
+        assert main(["compress-stream", str(pp), str(cp), "-o", stream,
+                     "--chunk-size", "4096"]) == 0
+        assert load_streamed(stream).value_bits == 32
+        out = str(tmp_path / "o.npy")
+        assert main(["decompress-stream", stream, str(pp), "-o", out]) == 0
+        np.testing.assert_array_equal(np.load(out)[::50].astype(np.float32),
+                                      curr[::50])

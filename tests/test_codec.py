@@ -1,25 +1,10 @@
-"""Codec facade and deprecated-shim equivalence tests.
-
-Every deprecated entry point must (a) warn exactly once per call/
-construction and (b) produce results identical to its Codec replacement.
-Shim tests carry the ``shims`` marker so the deprecation-strict CI job
-(`-W error::DeprecationWarning`) can exclude them.
-"""
-
-import warnings
+"""Codec facade tests."""
 
 import numpy as np
 import pytest
 
 from repro import Codec
 from repro.core import NumarckConfig
-from repro.core.encoder import encode_pair
-
-shims = pytest.mark.shims
-
-
-def _deprecations(caught):
-    return [w for w in caught if issubclass(w.category, DeprecationWarning)]
 
 
 @pytest.fixture
@@ -27,14 +12,6 @@ def pair(rng):
     prev = rng.uniform(1.0, 2.0, size=4000)
     curr = prev * (1.0 + rng.normal(0.0, 0.003, size=4000))
     return prev, curr
-
-
-def _assert_same_encoding(a, b):
-    np.testing.assert_array_equal(a.indices, b.indices)
-    np.testing.assert_array_equal(a.representatives, b.representatives)
-    np.testing.assert_array_equal(a.incompressible, b.incompressible)
-    np.testing.assert_array_equal(a.exact_values, b.exact_values)
-    assert a.nbits == b.nbits and a.strategy == b.strategy
 
 
 class TestCodecFacade:
@@ -65,92 +42,3 @@ class TestCodecFacade:
         out = np.concatenate(list(Codec(config=cfg).decompress_stream(
             iter(np.array_split(prev, len(streamed.chunks))), streamed)))
         assert np.max(np.abs(out / prev - curr / prev)) < 1e-3 + 1e-12
-
-
-@shims
-class TestNumarckCompressorShim:
-    def test_warns_exactly_once_and_matches_codec(self, pair):
-        from repro.core import NumarckCompressor
-
-        prev, curr = pair
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            comp = NumarckCompressor(NumarckConfig(error_bound=1e-3))
-        assert len(_deprecations(caught)) == 1
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            enc = comp.compress(prev, curr)
-        assert len(_deprecations(caught)) == 0  # only __init__ warns
-
-        _assert_same_encoding(
-            enc, Codec(config=NumarckConfig(error_bound=1e-3)).compress(prev, curr))
-
-    def test_is_a_codec(self):
-        from repro.core import NumarckCompressor
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert isinstance(NumarckCompressor(), Codec)
-
-
-@shims
-class TestEncodeIterationShim:
-    def test_warns_exactly_once_and_matches_encode_pair(self, pair):
-        from repro.core import encode_iteration
-
-        prev, curr = pair
-        cfg = NumarckConfig(error_bound=1e-3)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            enc = encode_iteration(prev, curr, cfg)
-        assert len(_deprecations(caught)) == 1
-        _assert_same_encoding(enc, encode_pair(prev, curr, cfg)[0])
-
-
-@shims
-class TestStreamingEncoderShim:
-    def test_warns_exactly_once_and_matches_codec(self, pair):
-        from repro.core import StreamingEncoder
-
-        prev, curr = pair
-        cfg = NumarckConfig(error_bound=1e-3)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            enc = StreamingEncoder(cfg, chunk_size=512)
-        assert len(_deprecations(caught)) == 1
-
-        old = enc.encode_arrays(prev, curr)
-        new = Codec(config=cfg, chunk_size=512).compress_stream_arrays(prev, curr)
-        assert old.n_points == new.n_points
-        np.testing.assert_array_equal(old.representatives,
-                                      new.representatives)
-        for a, b in zip(old.chunks, new.chunks):
-            np.testing.assert_array_equal(a.indices, b.indices)
-            np.testing.assert_array_equal(a.exact_values, b.exact_values)
-
-
-@shims
-class TestGetStrategyShim:
-    def test_warns_exactly_once_and_matches_from_config(self):
-        from repro.core.strategies import ClusteringStrategy, get_strategy
-        from repro.core.strategies.base import ApproximationStrategy
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            s = get_strategy("clustering", init="random", max_iter=3)
-        assert len(_deprecations(caught)) == 1
-        assert isinstance(s, ClusteringStrategy)
-
-        cfg = NumarckConfig(strategy="clustering", kmeans_init="random",
-                            kmeans_max_iter=3)
-        t = ApproximationStrategy.from_config(cfg)
-        assert (s.init, s.max_iter) == (t.init, t.max_iter)
-
-    def test_unknown_name_still_raises(self):
-        from repro.core.strategies import get_strategy
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ValueError, match="unknown strategy"):
-                get_strategy("nope")

@@ -2,13 +2,10 @@
 
 import warnings
 
-import numpy as np
 import pytest
 
 from repro import Codec, NumarckConfig
 from repro.errors import ConfigError
-
-shims = pytest.mark.shims
 
 
 class TestDictRoundTrip:
@@ -51,39 +48,20 @@ class TestKeywordOnly:
             Codec(config=NumarckConfig())
             Codec()
 
-    @shims
-    def test_positional_config_warns(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            cfg = NumarckConfig(1e-3, 8)
-        assert cfg.error_bound == 1e-3 and cfg.nbits == 8
+    def test_positional_config_raises(self):
+        with pytest.raises(TypeError):
+            NumarckConfig(1e-3, 8)
 
-    @shims
-    def test_positional_codec_warns(self):
-        cfg = NumarckConfig(error_bound=1e-3)
-        with pytest.warns(DeprecationWarning, match="Codec"):
-            codec = Codec(cfg)
-        assert codec.config is cfg
+    def test_positional_codec_raises(self):
+        with pytest.raises(TypeError):
+            Codec(NumarckConfig(error_bound=1e-3))
 
-    @shims
-    def test_positional_codec_still_works(self):
-        rng = np.random.default_rng(0)
-        prev = rng.uniform(1, 2, 500)
-        curr = prev * (1 + rng.normal(0, 1e-3, 500))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            codec = Codec(NumarckConfig(error_bound=1e-3))
-        out = codec.decompress(prev, codec.compress(prev, curr))
-        assert np.all(np.abs(out / prev - curr / prev) < 1e-3 + 1e-12)
-
-    @shims
     def test_positional_and_keyword_conflict(self):
-        with pytest.raises(TypeError), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(TypeError):
             NumarckConfig(1e-3, error_bound=1e-3)
         with pytest.raises(TypeError):
             Codec(NumarckConfig(), config=NumarckConfig())
 
-    @shims
     def test_too_many_positionals(self):
         with pytest.raises(TypeError):
             Codec(NumarckConfig(), NumarckConfig())

@@ -10,7 +10,7 @@ import importlib
 import pytest
 
 MODULES = [
-    "repro.core.pipeline",
+    "repro.codec",
     "repro.core.streaming",
     "repro.baselines.bspline",
     "repro.simulations.flash.simulation",

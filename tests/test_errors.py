@@ -1,4 +1,4 @@
-"""The unified error hierarchy: one tree, aliased old homes, HTTP map."""
+"""The unified error hierarchy: one tree, the parallel.faults alias, HTTP map."""
 
 import pytest
 
@@ -60,24 +60,15 @@ class TestHierarchy:
 
 
 class TestAliases:
-    def test_core_errors_are_same_objects(self):
-        from repro.core import errors as core_errors
-
-        assert core_errors.ConfigError is ConfigError
-        assert core_errors.FormatError is FormatError
-        assert core_errors.SalvageError is SalvageError
-        assert core_errors.StateError is StateError
-        assert core_errors.SalvageReport is errors.SalvageReport
-
     def test_parallel_faults_alias(self):
         from repro.parallel.faults import RankFailureError as aliased
 
         assert aliased is RankFailureError
 
     def test_isinstance_across_import_paths(self):
-        from repro.core.errors import ConfigError as old_config_error
+        from repro import ConfigError as top_level_config_error
 
-        with pytest.raises(old_config_error):
+        with pytest.raises(top_level_config_error):
             from repro.core.config import NumarckConfig
             NumarckConfig(error_bound=5.0)
 

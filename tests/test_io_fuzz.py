@@ -3,7 +3,7 @@
 The restart path feeds decoded checkpoints straight back into a running
 simulation, so the failure mode that matters is silent corruption.  These
 tests assert that arbitrary single-bit flips and random garbage always
-surface as :class:`~repro.core.errors.FormatError` -- never as a different
+surface as :class:`~repro.errors.FormatError` -- never as a different
 exception type and never as silently wrong data.
 """
 
@@ -290,3 +290,25 @@ def test_streamed_untouched_blob_still_loads(streamed_blob, tmp_path):
     p.write_bytes(blob)
     streamed = load_streamed(p)
     assert streamed.n_points == 1200
+
+
+def test_streamed_index_past_table_rejected(streamed_blob, tmp_path):
+    """A CHNK record with a valid CRC whose index points past the table
+    must fail at parse time, not as an IndexError during decode."""
+    from dataclasses import replace
+
+    from repro.io import streamed_from_bytes, streamed_to_bytes
+
+    streamed = load_streamed(streamed_blob[0])
+    table = streamed.representatives[:4]
+    chunks = [replace(c, indices=np.minimum(c.indices, table.size))
+              for c in streamed.chunks]
+    ok = replace(streamed, representatives=table, chunks=tuple(chunks))
+    streamed_from_bytes(streamed_to_bytes(ok))  # in range: parses
+
+    bad = chunks[0].indices.copy()
+    bad[np.flatnonzero(~chunks[0].incompressible)[0]] = table.size + 1
+    chunks[0] = replace(chunks[0], indices=bad)
+    blob = streamed_to_bytes(replace(ok, chunks=tuple(chunks)))
+    with pytest.raises(FormatError, match="exceeds bin table"):
+        streamed_from_bytes(blob)

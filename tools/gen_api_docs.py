@@ -131,7 +131,7 @@ OBSERVABILITY_NOTES = """\
 Every stage of the pipeline is instrumented through `repro.telemetry`:
 
 * **Spans.** Hot paths open nested, attributed spans —
-  `pipeline.compress` → `encode` → `encode.fit` →
+  `codec.compress` → `encode` → `encode.fit` →
   `strategy.clustering.fit` → `kmeans.lloyd`, plus `bitpack.pack`,
   `io.write_record`, `io.save_chain` / `io.load_chain`,
   `io.save_streamed` and `restart.persist_incremental` — each carrying
