@@ -14,14 +14,13 @@ high-entropy, changes are concentrated) and its future-work direction
 """
 
 from repro.analysis.adaptive import CadenceController, CadenceDecision
-from repro.analysis.anomaly import DriftDetector, DriftReading
 from repro.analysis.distribution import (
     ChangeSummary,
     change_histogram,
     distribution_drift,
     summarize_changes,
 )
-from repro.analysis.entropy import byte_entropy, histogram_entropy, word_entropy
+from repro.analysis.entropy import byte_entropy, word_entropy
 from repro.analysis.report import format_series, format_table
 from repro.analysis.sketch import RatioSketch
 from repro.analysis.tradeoff import TradeoffPoint, pareto_frontier, sweep
@@ -29,15 +28,12 @@ from repro.analysis.tradeoff import TradeoffPoint, pareto_frontier, sweep
 __all__ = [
     "byte_entropy",
     "word_entropy",
-    "histogram_entropy",
     "ChangeSummary",
     "summarize_changes",
     "change_histogram",
     "distribution_drift",
     "format_table",
     "format_series",
-    "DriftDetector",
-    "DriftReading",
     "CadenceController",
     "CadenceDecision",
     "RatioSketch",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["byte_entropy", "word_entropy", "histogram_entropy"]
+__all__ = ["byte_entropy", "word_entropy"]
 
 
 def _shannon(counts: np.ndarray) -> float:
@@ -45,14 +45,3 @@ def word_entropy(values: np.ndarray) -> float:
     _, counts = np.unique(arr, return_counts=True)
     return _shannon(counts)
 
-
-def histogram_entropy(values: np.ndarray, bins: int = 256) -> float:
-    """Differential-style entropy proxy: entropy of an equal-width binning."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        return 0.0
-    finite = arr[np.isfinite(arr)]
-    if finite.size == 0:
-        return 0.0
-    counts, _ = np.histogram(finite, bins=bins)
-    return _shannon(counts)

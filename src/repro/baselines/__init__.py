@@ -7,9 +7,6 @@
   the vector into windows of ``W_0`` values, *sort* each window (storing
   the permutation in ``log2 W_0`` bits per point), and fit the now-monotone
   curve with a ``P_I``-coefficient B-spline.
-* :mod:`repro.baselines.lossless` -- zlib with optional XOR-delta and
-  byte-shuffle preconditioning, standing in for the FPC/CC-style lossless
-  passes discussed in related work.
 
 Both lossy baselines implement ``compress`` / ``decompress`` /
 ``compression_ratio`` so the Table I/II benches drive all three systems
@@ -17,7 +14,6 @@ through one interface.
 """
 
 from repro.baselines.bspline import BSplineCompressor, lsq_bspline_fit
-from repro.baselines.fpc import FpcCompressor
 from repro.baselines.huffman import (
     code_lengths,
     huffman_decode,
@@ -25,28 +21,13 @@ from repro.baselines.huffman import (
     huffman_size_bits,
 )
 from repro.baselines.isabela import IsabelaCompressor
-from repro.baselines.lossless import (
-    byte_shuffle,
-    byte_unshuffle,
-    compress_lossless,
-    decompress_lossless,
-    xor_precondition,
-    xor_unprecondition,
-)
 
 __all__ = [
     "BSplineCompressor",
     "IsabelaCompressor",
-    "FpcCompressor",
     "huffman_encode",
     "huffman_decode",
     "huffman_size_bits",
     "code_lengths",
     "lsq_bspline_fit",
-    "compress_lossless",
-    "decompress_lossless",
-    "xor_precondition",
-    "xor_unprecondition",
-    "byte_shuffle",
-    "byte_unshuffle",
 ]

@@ -26,7 +26,7 @@ from repro.core.adaptive import AdaptiveEncoder, ReuseStats
 from repro.core.change import ChangeField, apply_change, change_ratios
 from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
-from repro.core.decoder import decode_iteration, decode_region
+from repro.core.decoder import decode_iteration
 from repro.core.encoder import EncodedIteration, EncodeReport, encode_pair
 from repro.core.joint import JointEncodedIteration, decode_joint, encode_joint
 from repro.core.metrics import (
@@ -76,7 +76,6 @@ __all__ = [
     "AdaptiveEncoder",
     "ReuseStats",
     "decode_iteration",
-    "decode_region",
     "encode_joint",
     "decode_joint",
     "JointEncodedIteration",

@@ -2,9 +2,8 @@
 
 The paper states the per-iteration guarantee and *observes* accumulation
 across restarts (Fig. 8); this module makes the growth law explicit so
-users can budget chain depth a priori (it also drives
-:class:`repro.analysis.adaptive.CadenceController`'s depth heuristics and
-is verified against measured chains by the test suite).
+users can budget chain depth a priori (it is verified against measured
+chains by the test suite).
 
 Derivation (open-loop chains, the paper's scheme)
 -------------------------------------------------

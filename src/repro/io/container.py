@@ -326,10 +326,6 @@ class CheckpointFile:
         self.n_records += 1
         self._record_ends.append(start + len(data))
 
-    # Kept as an alias for one release: external callers should use the
-    # public ``write_record``.
-    _write_record = write_record
-
     def truncate_records(self, n: int) -> None:
         """Drop every record after the first ``n`` (writer mode only).
 
@@ -433,6 +429,12 @@ class CheckpointFile:
         return full, deltas
 
 
+def _write_chain(f: CheckpointFile, chain: CheckpointChain) -> None:
+    f.write_full(chain.full_checkpoint)
+    for enc in chain.deltas:
+        f.write_delta(enc)
+
+
 def chain_to_bytes(chain: CheckpointChain) -> bytes:
     """Serialise a chain to container bytes (same layout as
     :func:`save_chain` writes to disk, byte for byte).
@@ -444,10 +446,7 @@ def chain_to_bytes(chain: CheckpointChain) -> bytes:
     buf = io.BytesIO()
     with get_telemetry().span("io.chain_to_bytes",
                               records=1 + len(chain.deltas)) as sp:
-        f = CheckpointFile.from_handle(buf)
-        f.write_full(chain.full_checkpoint)
-        for enc in chain.deltas:
-            f.write_delta(enc)
+        _write_chain(CheckpointFile.from_handle(buf), chain)
         data = buf.getvalue()
         sp.set(bytes_out=len(data))
     return data
@@ -520,15 +519,10 @@ def save_chain(path: str | Path, chain: CheckpointChain, *,
     def _write_all() -> None:
         if durable:
             with atomic_write(path) as fh:
-                f = CheckpointFile.from_handle(fh)
-                f.write_full(chain.full_checkpoint)
-                for enc in chain.deltas:
-                    f.write_delta(enc)
+                _write_chain(CheckpointFile.from_handle(fh), chain)
         else:
             with CheckpointFile.create(path) as f:
-                f.write_full(chain.full_checkpoint)
-                for enc in chain.deltas:
-                    f.write_delta(enc)
+                _write_chain(f, chain)
 
     with get_telemetry().span("io.save_chain", records=1 + len(chain.deltas),
                               durable=durable) as sp:

@@ -18,7 +18,7 @@ provides a small SPMD harness with the same *shape* as ``mpi4py``:
 * :class:`RankFaultInjector` -- chaos hook injecting crash / hang / drop /
   bit-flip / transient faults into the comm path, the communication-side
   sibling of :class:`repro.restart.faults.DiskFaultInjector`.
-* :mod:`repro.parallel.partition` -- 1-D and 2-D block decompositions.
+* :mod:`repro.parallel.partition` -- 1-D block decompositions.
 
 Every distributed algorithm in the repo is written against :class:`Comm`,
 so the serial and multi-process paths execute identical code.
@@ -28,7 +28,6 @@ from repro.parallel.comm import Comm, PipeComm, RankOutcome, SerialComm, run_spm
 from repro.parallel.faults import CommEvent, RankFailureError, RankFaultInjector
 from repro.parallel.insitu import GlobalStats, parallel_encode
 from repro.parallel.partition import block_partition, partition_bounds, partition_slices
-from repro.parallel.reduce import tree_allreduce
 
 __all__ = [
     "Comm",
@@ -44,5 +43,4 @@ __all__ = [
     "block_partition",
     "partition_bounds",
     "partition_slices",
-    "tree_allreduce",
 ]

@@ -1,4 +1,4 @@
-"""Block decompositions of index ranges and grids.
+"""Block decompositions of index ranges.
 
 These helpers mirror the usual MPI block-distribution conventions: the
 first ``n % p`` parts receive one extra element, so part sizes differ by at
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["partition_bounds", "partition_slices", "block_partition", "grid_partition"]
+__all__ = ["partition_bounds", "partition_slices", "block_partition"]
 
 
 def partition_bounds(n: int, nparts: int) -> np.ndarray:
@@ -40,12 +40,3 @@ def block_partition(array: np.ndarray, nparts: int) -> list[np.ndarray]:
     """Split the leading axis of ``array`` into ``nparts`` contiguous views."""
     return [array[s] for s in partition_slices(array.shape[0], nparts)]
 
-
-def grid_partition(shape: tuple[int, int], nparts: int) -> list[tuple[slice, slice]]:
-    """Partition a 2-D grid into ``nparts`` row-band blocks.
-
-    Row bands keep each part contiguous in C order, which is the
-    cache-friendly choice for the row-major arrays used throughout the repo.
-    """
-    ny, nx = shape
-    return [(s, slice(0, nx)) for s in partition_slices(ny, nparts)]

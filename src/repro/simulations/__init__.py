@@ -17,8 +17,6 @@ dict of variable name -> float64 array, ``advance()`` steps the model, and
 advance).
 """
 
-from repro.simulations.base import Simulation, run_checkpoints
-from repro.simulations.dataset import TrajectoryReader, save_trajectory
+from repro.simulations.base import Simulation
 
-__all__ = ["Simulation", "run_checkpoints", "save_trajectory",
-           "TrajectoryReader"]
+__all__ = ["Simulation"]

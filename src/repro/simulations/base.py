@@ -7,7 +7,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["Simulation", "run_checkpoints"]
+__all__ = ["Simulation"]
 
 
 class Simulation(ABC):
@@ -33,14 +33,3 @@ class Simulation(ABC):
             self.advance()
             yield self.checkpoint()
 
-
-def run_checkpoints(sim: Simulation, variable: str,
-                    n_checkpoints: int) -> list[np.ndarray]:
-    """Collect one variable's trajectory across checkpoints.
-
-    Convenience for the benches, which usually study one variable at a
-    time (paper Figs 4-7).
-    """
-    if variable not in sim.variables:
-        raise KeyError(f"{variable!r} not in {sim.variables}")
-    return [cp[variable] for cp in sim.run(n_checkpoints)]

@@ -23,24 +23,18 @@ This package implements the same structure at laptop scale:
 
 from repro.simulations.flash.amr import AmrCheckpointer, QuadTreeMesh
 from repro.simulations.flash.blocks import BlockGrid
-from repro.simulations.flash.blocks3d import BlockGrid3D
 from repro.simulations.flash.eos import GammaLawEOS
 from repro.simulations.flash.euler import Euler2D
-from repro.simulations.flash.euler3d import Euler3D
 from repro.simulations.flash.problems import PROBLEMS, kelvin_helmholtz, sedov, sod
 from repro.simulations.flash.riemann import RiemannState, exact_riemann, sod_exact
 from repro.simulations.flash.simulation import FLASH_VARIABLES, FlashSimulation
-from repro.simulations.flash.simulation3d import FlashSimulation3D
 
 __all__ = [
     "FlashSimulation",
-    "FlashSimulation3D",
     "FLASH_VARIABLES",
     "Euler2D",
-    "Euler3D",
     "GammaLawEOS",
     "BlockGrid",
-    "BlockGrid3D",
     "QuadTreeMesh",
     "AmrCheckpointer",
     "PROBLEMS",

@@ -9,7 +9,6 @@ from repro.analysis import (
     distribution_drift,
     format_series,
     format_table,
-    histogram_entropy,
     summarize_changes,
     word_entropy,
 )
@@ -45,13 +44,6 @@ class TestEntropy:
         prev, curr = smooth_pair
         enc = encode_pair(prev, curr, NumarckConfig(nbits=8))[0]
         assert word_entropy(enc.indices) < 8.0
-
-    def test_histogram_entropy_handles_nan(self):
-        arr = np.array([1.0, np.nan, 2.0, np.inf])
-        assert np.isfinite(histogram_entropy(arr))
-
-    def test_histogram_entropy_empty(self):
-        assert histogram_entropy(np.array([])) == 0.0
 
 
 class TestChangeSummary:

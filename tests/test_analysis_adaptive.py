@@ -1,72 +1,10 @@
-"""DriftDetector and CadenceController tests."""
+"""CadenceController tests."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import CadenceController, DriftDetector
+from repro.analysis import CadenceController
 from repro.core import CheckpointChain, NumarckConfig
-
-
-class TestDriftDetector:
-    def _calm_stream(self, rng, n=15, size=4000):
-        states = [rng.uniform(1, 2, size)]
-        for _ in range(n - 1):
-            states.append(states[-1] * (1 + rng.normal(0, 0.002, size)))
-        return states
-
-    def test_calm_stream_not_flagged(self, rng):
-        det = DriftDetector(threshold=6.0)
-        for s in self._calm_stream(rng):
-            det.observe(s)
-        assert det.flagged == []
-
-    def test_corruption_flagged(self, rng):
-        states = self._calm_stream(rng, n=16)
-        states[10] = states[10].copy()
-        states[10][:1200] *= 1.05  # soft error on 30 % of the state
-        det = DriftDetector(threshold=4.0)
-        for s in states:
-            det.observe(s)
-        assert det.flagged, "corruption must be detected"
-        assert any(10 <= it <= 12 for it in det.flagged)
-
-    def test_warmup_suppresses_early_flags(self, rng):
-        det = DriftDetector(warmup=5, threshold=2.0)
-        states = self._calm_stream(rng, n=6)
-        states[2] = states[2] * 1.5  # violent but during warmup
-        for s in states:
-            det.observe(s)
-        assert all(r.iteration > 5 or not r.anomalous for r in det.readings)
-
-    def test_first_observations_return_none(self, rng):
-        det = DriftDetector()
-        assert det.observe(rng.uniform(1, 2, 100)) is None
-        assert det.observe(rng.uniform(1, 2, 100)) is None
-        assert det.observe(rng.uniform(1, 2, 100)) is not None
-
-    def test_anomaly_excluded_from_baseline(self, rng):
-        """A detected event must not inflate the baseline and mask a
-        second event."""
-        states = self._calm_stream(rng, n=24)
-        for day in (10, 16):
-            states[day] = states[day].copy()
-            states[day][:1500] *= 1.06
-        det = DriftDetector(threshold=4.0)
-        for s in states:
-            det.observe(s)
-        hits = det.flagged
-        assert any(10 <= it <= 12 for it in hits)
-        assert any(16 <= it <= 18 for it in hits)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DriftDetector(bins=2)
-        with pytest.raises(ValueError):
-            DriftDetector(clip=0)
-        with pytest.raises(ValueError):
-            DriftDetector(window=1)
-        with pytest.raises(ValueError):
-            DriftDetector(threshold=0.5)
 
 
 class TestCadenceController:

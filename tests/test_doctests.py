@@ -14,7 +14,6 @@ MODULES = [
     "repro.core.streaming",
     "repro.baselines.bspline",
     "repro.simulations.flash.simulation",
-    "repro.simulations.flash.simulation3d",
     "repro.simulations.cmip.simulation",
 ]
 

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from repro.core import CheckpointChain, NumarckConfig
-from repro.io import atomic_write, load_chain, retry_io, save_chain
+from repro.io import (
+    atomic_write,
+    chain_to_bytes,
+    load_chain,
+    retry_io,
+    save_chain,
+)
 from repro.io.durable import is_transient_oserror
 
 
@@ -163,3 +169,4 @@ class TestDurableSave:
         save_chain(a, chain, durable=True)
         save_chain(b, chain, durable=False)
         assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes() == chain_to_bytes(chain)

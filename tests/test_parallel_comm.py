@@ -5,7 +5,7 @@ import operator
 import numpy as np
 import pytest
 
-from repro.parallel import SerialComm, run_spmd, tree_allreduce
+from repro.parallel import SerialComm, run_spmd
 
 
 class TestSerialComm:
@@ -31,9 +31,6 @@ class TestSerialComm:
         with pytest.raises(ValueError):
             SerialComm().scatter([1, 2])
 
-    def test_tree_allreduce_serial(self):
-        assert tree_allreduce(SerialComm(), 5) == 5
-
 
 def _collectives_worker(comm, payload):
     out = {}
@@ -46,7 +43,6 @@ def _collectives_worker(comm, payload):
     out["reduce"] = comm.reduce(comm.rank + 1)
     out["allreduce"] = comm.allreduce(comm.rank + 1)
     out["max"] = comm.allreduce(comm.rank, op=max)
-    out["tree"] = tree_allreduce(comm, comm.rank + 1)
     comm.barrier()
     return out
 
@@ -62,7 +58,6 @@ class TestSPMDCollectives:
             assert out["scatter"] == rank * 10
             assert out["allreduce"] == total
             assert out["max"] == nprocs - 1
-            assert out["tree"] == total
         assert results[0]["gather"] == list(range(nprocs))
         assert results[0]["reduce"] == total
         for out in results[1:]:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel import block_partition, partition_bounds, partition_slices
-from repro.parallel.partition import grid_partition
 
 
 class TestPartitionBounds:
@@ -45,14 +44,6 @@ class TestSlicesAndBlocks:
         # Parts are views, not copies.
         parts[0][0, 0] = 99.0
         assert arr[0, 0] == 99.0
-
-    def test_grid_partition_row_bands(self):
-        bands = grid_partition((10, 6), 3)
-        assert len(bands) == 3
-        rows = sum(b[0].stop - b[0].start for b in bands)
-        assert rows == 10
-        for _, xs in bands:
-            assert xs == slice(0, 6)
 
 
 @settings(max_examples=60, deadline=None)
