@@ -49,12 +49,22 @@ class CheckpointChain:
         self._full = np.array(full_checkpoint, dtype=np.float64, copy=True)
         self._deltas: list[EncodedIteration] = []
         self._stats: list[CompressionStats] = []
-        # Reference state for the *next* append.
-        self._ref = self._full.copy()
+        # Reference state for the *next* append, built on first use.
+        self._ref: np.ndarray | None = None
         # With config.adaptive, appends share one stateful encoder so the
         # fitted bin model carries across iterations (drift-validated).
         self._adaptive = (AdaptiveEncoder(self.config)
                           if self.config.adaptive else None)
+
+    @classmethod
+    def resume(cls, full_checkpoint: np.ndarray,
+               deltas: Sequence[EncodedIteration],
+               config: NumarckConfig | None = None) -> "CheckpointChain":
+        """A chain already holding ``deltas`` (e.g. read from a file).
+        Nothing is decoded until an append needs the reference."""
+        chain = cls(full_checkpoint, config)
+        chain._deltas = list(deltas)
+        return chain
 
     # -- writing ----------------------------------------------------------
 
@@ -74,6 +84,8 @@ class CheckpointChain:
             raise FormatError(
                 f"iteration shape {arr.shape} does not match chain shape {self._full.shape}"
             )
+        if self._ref is None:
+            self._ref = self.reconstruct()
         if self._adaptive is not None:
             encoded = self._adaptive.encode(self._ref, arr)
             report = self._adaptive.last_report
@@ -100,8 +112,7 @@ class CheckpointChain:
 
         Used after salvaging damaged files: a multi-variable checkpoint
         torn mid-iteration leaves chains of unequal length, and resuming
-        requires cutting them back to a common depth.  The running
-        reference is replayed from the kept deltas, so further appends
+        requires cutting them back to a common depth; further appends
         behave like appends to a freshly loaded chain.
         """
         if not 1 <= n_iterations <= len(self):
@@ -112,10 +123,7 @@ class CheckpointChain:
             return
         self._deltas = self._deltas[: n_iterations - 1]
         self._stats = self._stats[: n_iterations - 1]
-        state = self._full.copy()
-        for enc in self._deltas:
-            state = decode_iteration(state, enc)
-        self._ref = state
+        self._ref = None
         if self._adaptive is not None:
             # The cached model may belong to a dropped suffix; refit cold.
             self._adaptive.reset()

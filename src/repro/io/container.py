@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
-from repro.core.decoder import decode_iteration
 from repro.core.encoder import EncodedIteration
 from repro.errors import FormatError, SalvageError, SalvageReport
 from repro.io.durable import atomic_write, retry_io
@@ -326,6 +325,11 @@ class CheckpointFile:
         self.n_records += 1
         self._record_ends.append(start + len(data))
 
+    @property
+    def end(self) -> int:
+        """Byte offset just past the last confirmed record."""
+        return self._record_ends[-1]
+
     def truncate_records(self, n: int) -> None:
         """Drop every record after the first ``n`` (writer mode only).
 
@@ -436,13 +440,8 @@ def _write_chain(f: CheckpointFile, chain: CheckpointChain) -> None:
 
 
 def chain_to_bytes(chain: CheckpointChain) -> bytes:
-    """Serialise a chain to container bytes (same layout as
-    :func:`save_chain` writes to disk, byte for byte).
-
-    The in-memory twin of :func:`save_chain`, used by the compression
-    service to stream a chain down an HTTP response without touching the
-    filesystem.
-    """
+    """Serialise a chain to container bytes: the in-memory twin of
+    :func:`save_chain`, byte for byte."""
     buf = io.BytesIO()
     with get_telemetry().span("io.chain_to_bytes",
                               records=1 + len(chain.deltas)) as sp:
@@ -537,13 +536,7 @@ def save_chain(path: str | Path, chain: CheckpointChain, *,
 
 def _rebuild_chain(full: np.ndarray, deltas: list[EncodedIteration],
                    config: NumarckConfig | None) -> CheckpointChain:
-    chain = CheckpointChain(full, config)
-    chain._deltas = deltas  # noqa: SLF001 - same-module rebuild of private state
-    # Restore the running reference so further appends are well-defined.
-    state = full.copy()
-    for enc in deltas:
-        state = decode_iteration(state, enc)
-    chain._ref = state  # noqa: SLF001
+    chain = CheckpointChain.resume(full, deltas, config)
     # Resume model reuse across a save/load cycle: prime the adaptive
     # cache with the last stored table (conservative zero baseline).
     adaptive = chain._adaptive  # noqa: SLF001

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
-from repro.core.decoder import decode_iteration
 from repro.errors import FormatError, SalvageError, SalvageReport
 from repro.io.container import HEADER_SIZE, CheckpointFile, WriteHook
 from repro.io.durable import atomic_write, retry_io
@@ -195,20 +194,6 @@ def save_chains(path: str | Path, chains: dict[str, CheckpointChain], *,
     return Path(path).stat().st_size
 
 
-def _rebuild(fulls: dict[str, np.ndarray], deltas: dict[str, list],
-             config: NumarckConfig | None) -> dict[str, CheckpointChain]:
-    out: dict[str, CheckpointChain] = {}
-    for name, full in fulls.items():
-        chain = CheckpointChain(full, config)
-        chain._deltas = deltas[name]  # noqa: SLF001 - same-package rebuild
-        state = full.copy()
-        for enc in deltas[name]:
-            state = decode_iteration(state, enc)
-        chain._ref = state  # noqa: SLF001
-        out[name] = chain
-    return out
-
-
 def load_chains(path: str | Path,
                 config: NumarckConfig | None = None,
                 recover: str | None = None):
@@ -278,7 +263,8 @@ def load_chains(path: str | Path,
                 bytes_truncated=truncated,
                 reason=f.damage[0] if f.damage else None,
             )
-    chains = _rebuild(fulls, deltas, config)
+    chains = {name: CheckpointChain.resume(full, deltas[name], config)
+              for name, full in fulls.items()}
     if recover is None:
         return chains
     return chains, report

@@ -13,13 +13,13 @@ Semantics of the two job kinds:
     Body is one wire-framed array.  The first job on a chain stores it as
     the full checkpoint; later jobs append an encoded delta against the
     chain tail, reusing the chain's cached bin model when the config is
-    adaptive.  The job result is a JSON summary; the compressed artefact
-    lives on the chain and is downloaded as container bytes.
+    adaptive.  The job result is a JSON summary; a download serves the
+    chain's container bytes as they were written, never re-encoded.
 
 ``decompress``
-    Body is container bytes (as produced by the chain download or by
-    :func:`repro.io.chain_to_bytes` / ``save_chain``).  The job result is
-    a wire payload of *every* decoded state, full checkpoint first.
+    Body is container bytes (a chain download, or ``save_chain`` output).
+    The job decodes each delta once; its result is a wire payload of
+    *every* decoded state, full checkpoint first.
 """
 
 from __future__ import annotations

@@ -8,26 +8,26 @@ every later job appends an encoded delta.  Each chain wraps one live
 *jobs* exactly as it is carried across iterations in a single process --
 the model hint rides on the chain, not on the request.
 
-Chains are optionally durable.  With a ``store_dir`` every accepted
-iteration is persisted through the crash-consistent container, one
-flushed and fsynced record per job, before the job is acknowledged.
-Each durable chain holds one open :class:`~repro.io.container.CheckpointFile`
-writer between jobs, so an append costs the same at any chain length: a
-new chain keeps the writer that wrote its full checkpoint, and a chain
-recovered at start-up opens its writer with ``CheckpointFile.append`` on
-its first delta -- the one scan of its file per server lifetime, which
-also cuts any torn tail.  On startup existing files are re-opened with
-``recover="tail"`` so a torn tail from a crashed server costs the torn
-record, never the chain.  A failed persist closes the writer (the next
-job scans again, the
+Each chain holds one open :class:`~repro.io.container.CheckpointFile`
+writer -- over its file with a ``store_dir``, else over a buffer -- so a
+record is serialised once, at append, and an append costs the same at
+any chain length.  A download serves the committed container prefix, up
+to the last record a job wrote: never a re-encode, a torn tail or a
+record whose rollback failed.  With a ``store_dir`` each record is
+flushed and fsynced before its job is acknowledged, and start-up
+re-opens stored chains with ``recover="tail"``: a crash costs the torn
+record, never the chain.  A recovered chain decodes nothing; its first
+delta opens the writer with ``CheckpointFile.append``, the one scan per
+server lifetime, which cuts the torn bytes.  A failed persist closes the
+writer (the next job scans again, the
 :meth:`~repro.restart.manager.RestartManager.persist_incremental` rule),
-and the chain takes a state only once its record is written, so memory
-never runs ahead of disk.
+and the chain takes a state only once its record is written.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import re
 import threading
 from pathlib import Path
@@ -39,7 +39,7 @@ from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
 from repro.core.encoder import EncodedIteration
 from repro.errors import ChainNotFoundError, ConfigError, StateError
-from repro.io.container import CheckpointFile, chain_to_bytes, load_chain
+from repro.io.container import CheckpointFile, load_chain
 from repro.telemetry.tracer import get_telemetry
 
 __all__ = ["Chain", "ChainRegistry"]
@@ -58,9 +58,9 @@ def _validate_id(chain_id: str) -> str:
 
 
 class Chain:
-    """One tenant chain: a live ``CheckpointChain`` plus its lock, path
-    and counters.  All mutation happens under :attr:`lock`, which the
-    registry hands to the job closure -- two jobs on the same chain
+    """One tenant chain: a live ``CheckpointChain`` plus its lock, path,
+    writer and counters.  All mutation happens under :attr:`lock`, which
+    the registry hands to the job closure -- two jobs on the same chain
     serialise, jobs on different chains run concurrently."""
 
     def __init__(self, chain_id: str, config: NumarckConfig,
@@ -71,35 +71,47 @@ class Chain:
         self.lock = threading.RLock()
         self.chain: CheckpointChain | None = None
         self._writer: CheckpointFile | None = None
+        #: the container of a chain without a path.
+        self._buf: io.BytesIO | None = None
+        #: committed container length: the end of the last written record.
+        self._end = 0
         self.jobs_accepted = 0
         self.bytes_in = 0
-        self.bytes_out = 0
+
+    @classmethod
+    def recover(cls, chain_id: str, config: NumarckConfig,
+                path: Path) -> "Chain":
+        """Re-open a stored chain; a torn tail is never served."""
+        loaded, report = load_chain(path, config, recover="tail")
+        with get_telemetry().span("service.chain.recover",
+                                  chain=chain_id) as sp:
+            sp.set(iterations=len(loaded),
+                   records_dropped=report.records_dropped)
+        chain = cls(chain_id, config, path)
+        chain.chain = loaded
+        chain._end = path.stat().st_size - report.bytes_truncated
+        return chain
 
     # -- mutation (caller holds no lock; we take our own) -------------------
 
     def append_state(self, state: np.ndarray) -> dict[str, Any]:
         """Absorb one iteration: full checkpoint if the chain is empty,
-        encoded delta otherwise.  Returns a result summary dict.  With a
-        path the record is on disk before the chain takes the state; a
-        failed write leaves the chain as it was and propagates."""
+        encoded delta otherwise.  Returns a result summary dict.  The
+        record is written before the chain takes the state; a failed
+        write leaves the chain as it was and propagates."""
         arr = np.asarray(state, dtype=np.float64)
-        durable = self.path is not None
         with self.lock, get_telemetry().span(
                 "service.chain.append", chain=self.id,
                 bytes_in=arr.nbytes) as sp:
             if self.chain is None:
-                chain = CheckpointChain(arr, self.config)
-                if durable:
-                    self._write_full(chain.full_checkpoint)
-                self.chain = chain
-                kind = "full"
-                reused = False
+                self._write_full(arr)
+                self.chain = CheckpointChain(arr, self.config)
+                kind, reused = "full", False
             else:
-                self.chain.append(
-                    arr, persist=self._write_delta if durable else None)
+                self.chain.append(arr, persist=self._write_delta)
                 kind = "delta"
-                reused = bool(getattr(self.chain.deltas[-1],
-                                      "model_reused", False))
+                reused = bool(self.chain.deltas[-1].model_reused)
+            self._end = self._writer.end
             self.jobs_accepted += 1
             self.bytes_in += arr.nbytes
             sp.set(record=kind, model_reused=reused,
@@ -109,15 +121,21 @@ class Chain:
                     "model_reused": reused}
 
     def _write_full(self, data: np.ndarray) -> None:
-        """Start the chain's file and keep its writer open."""
+        """Start the chain's container and keep its writer open."""
         try:
-            self._writer = CheckpointFile.create(self.path, sync=True)
+            if self.path is None:
+                self._buf = io.BytesIO()
+                self._writer = CheckpointFile.from_handle(self._buf)
+            else:
+                self._writer = CheckpointFile.create(self.path, sync=True)
             self._writer.write_full(data)
         except BaseException:
-            self._drop_writer()
-            # No FULL record: leave no header-only file to recover.
             with contextlib.suppress(OSError):
-                self.path.unlink(missing_ok=True)
+                self.close()
+            if self.path is not None:
+                # No FULL record: leave no header-only file to recover.
+                with contextlib.suppress(OSError):
+                    self.path.unlink(missing_ok=True)
             raise
 
     def _write_delta(self, encoded: EncodedIteration) -> None:
@@ -132,27 +150,28 @@ class Chain:
             self._writer.write_delta(encoded)
         except BaseException:
             # The handle may sit past a torn record; the next job scans.
-            self._drop_writer()
+            with contextlib.suppress(OSError):
+                self.close()
             raise
 
-    def _drop_writer(self) -> None:
-        with contextlib.suppress(OSError):
-            self.close()
-
     def close(self) -> None:
-        """Close the held writer; the next append re-opens the file."""
+        """Close a durable chain's writer; the next append re-opens the
+        file.  A buffer's writer stays: it holds the only container."""
         with self.lock:
-            if self._writer is not None:
+            if self.path is not None and self._writer is not None:
                 writer, self._writer = self._writer, None
                 writer.close()
 
     def container_bytes(self) -> bytes:
-        """The chain as container bytes -- byte-identical to
-        ``save_chain`` of the same chain."""
+        """The committed container prefix, as stored: byte-identical to
+        ``save_chain`` of the chain, never a torn or rolled-back record."""
         with self.lock:
             if self.chain is None:
                 raise StateError(f"chain {self.id!r} holds no checkpoints yet")
-            return chain_to_bytes(self.chain)
+            if self._buf is not None:
+                return self._buf.getvalue()[:self._end]
+            with open(self.path, "rb") as fh:
+                return fh.read(self._end)
 
     def stats(self) -> dict[str, Any]:
         with self.lock:
@@ -198,18 +217,9 @@ class ChainRegistry:
         """Re-open persisted chains, salvaging torn tails."""
         assert self.store_dir is not None
         for path in sorted(self.store_dir.glob("*.nmk")):
-            chain_id = path.stem
-            if not _ID_RE.match(chain_id):
-                continue
-            loaded, report = load_chain(path, self.default_config,
-                                        recover="tail")
-            with get_telemetry().span("service.chain.recover",
-                                      chain=chain_id) as sp:
-                sp.set(iterations=len(loaded),
-                       records_dropped=report.records_dropped)
-            chain = Chain(chain_id, self.default_config, path)
-            chain.chain = loaded
-            self._chains[chain_id] = chain
+            if _ID_RE.match(path.stem):
+                self._chains[path.stem] = Chain.recover(
+                    path.stem, self.default_config, path)
 
     # -- lookup / creation --------------------------------------------------
 

@@ -50,7 +50,7 @@ class Job:
         self.id = job_id
         self.kind = kind
         self.chain_id = chain_id
-        self.fn = fn
+        self.fn: Callable[[], bytes] | None = fn
         self.state = "queued"
         self.progress: dict[str, Any] = {"spans": 0, "bytes_in": 0,
                                          "bytes_out": 0, "last_stage": None}
@@ -251,6 +251,7 @@ class JobQueue:
                     f"cannot cancel job {job_id!r} in state {job.state!r}"
                 )
             job.state = "cancelled"
+            job.fn = None
             job.error = JobCancelledError(f"job {job_id!r} was cancelled")
             job.finished_at = time.time()
             self._queued -= 1
@@ -325,6 +326,8 @@ class JobQueue:
                     self._running -= 1
                     self._done += 1
             finally:
+                # The closure pins the job's input; keep only the result.
+                job.fn = None
                 if router is not None:
                     router.unregister()
                 job.finished_at = time.time()

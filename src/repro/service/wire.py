@@ -8,8 +8,8 @@ HTTP bodies carry float64 arrays in a tiny self-describing frame --
 states (a decompress result is the whole decoded chain).  The frame is
 deliberately dumber than the checkpoint container: no CRC, no tags --
 transport integrity is TCP's job, and the *compressed* payloads that
-matter travel as full container bytes (:func:`repro.io.chain_to_bytes`)
-which carry their own per-record CRC32.
+matter travel as checkpoint container bytes, which carry their own
+per-record CRC32.
 """
 
 from __future__ import annotations

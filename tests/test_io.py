@@ -1,6 +1,7 @@
 """Serialization: payload codecs and the framed container."""
 
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from repro.core import (
 )
 from repro.io import (
     CheckpointFile,
+    chain_from_bytes,
+    chain_to_bytes,
     decode_delta_bytes,
     decode_full_bytes,
     encode_delta_bytes,
@@ -208,6 +211,103 @@ class TestContainer:
         with CheckpointFile.open(p) as f:
             with pytest.raises(FormatError):
                 f.write_full(rng.normal(size=10))
+
+
+def _trajectory_states(rng, n_deltas, n=2000):
+    states = [rng.uniform(1.0, 2.0, n)]
+    for _ in range(n_deltas):
+        states.append(states[-1] * (1.0 + rng.normal(0.0, 3e-3, n)))
+    return states
+
+
+def _exact_history(rng, n_deltas, n=3000):
+    """States whose deltas decode bit-exactly: each point either keeps
+    its value (the reserved zero bin) or doubles (a change ratio of
+    exactly 1, stored as the one-value table ``[1.0]``).  A restart then
+    resumes from the very state the unbroken chain holds, under either
+    reference mode."""
+    states = [rng.uniform(1.0, 2.0, n)]
+    for _ in range(n_deltas):
+        states.append(states[-1] * np.where(rng.random(n) < 0.3, 2.0, 1.0))
+    return states
+
+
+class TestResume:
+    """A rebuilt chain decodes each delta once, and only when it is read
+    or appended to."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """Count ``decode_iteration`` calls from every module that
+        imported it."""
+        calls = []
+        original = decode_iteration
+
+        def counting(prev, enc):
+            calls.append(enc)
+            return original(prev, enc)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "decode_iteration", None) is original:
+                monkeypatch.setattr(module, "decode_iteration", counting)
+        return calls
+
+    def test_load_decodes_nothing_read_decodes_once(self, tmp_path, rng,
+                                                    decodes):
+        data = _trajectory_states(rng, n_deltas=5)
+        chain = CheckpointChain(data[0], NumarckConfig())
+        chain.extend(data[1:])
+        expected = list(chain.iter_states())
+        blob = chain_to_bytes(chain)
+        path = tmp_path / "c.nmk"
+        path.write_bytes(blob)
+        decodes.clear()
+        load_chain(path)
+        load_chain(path, recover="tail")
+        assert decodes == []
+        states = list(chain_from_bytes(blob).iter_states())
+        assert len(decodes) == len(chain.deltas)
+        for got, want in zip(states, expected, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("reference", ["original", "reconstructed"])
+    def test_load_append_matches_unbroken(self, tmp_path, rng, reference,
+                                          adaptive):
+        # Two appends after the restart: a doubling step, which an
+        # adaptive chain encodes with the model it resumed with, then a
+        # noisy step that refits.
+        cfg = NumarckConfig(reference=reference, adaptive=adaptive)
+        states = _exact_history(rng, n_deltas=4)
+        states.append(states[-1] * (1.0 + rng.normal(0.0, 2e-3,
+                                                     states[0].size)))
+        unbroken = CheckpointChain(states[0], cfg)
+        unbroken.extend(states[1:4])
+        path = tmp_path / "c.nmk"
+        save_chain(path, unbroken)
+        resumed = load_chain(path, cfg)
+        unbroken.extend(states[4:])
+        resumed.extend(states[4:])
+        if adaptive:
+            assert [d.model_reused for d in resumed.deltas[-2:]] \
+                == [True, False]
+        assert chain_to_bytes(resumed) == chain_to_bytes(unbroken)
+
+    @pytest.mark.parametrize("reference", ["original", "reconstructed"])
+    def test_truncate_append_matches_prefix(self, rng, reference, decodes):
+        cfg = NumarckConfig(reference=reference)
+        states = _exact_history(rng, n_deltas=4)
+        chain = CheckpointChain(states[0], cfg)
+        chain.extend(states[1:])
+        decodes.clear()
+        chain.truncate(3)
+        assert decodes == []
+        prefix = CheckpointChain(states[0], cfg)
+        prefix.extend(states[1:3])
+        chain.append(states[4])
+        prefix.append(states[4])
+        assert chain_to_bytes(chain) == chain_to_bytes(prefix)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,9 +1,10 @@
-"""Durable chain writes behind the compression service.
+"""Chain writes and downloads behind the compression service.
 
 Each durable chain holds one open append writer, so a compress job must
 not re-scan the chain file; and a failed write must leave the in-memory
 chain exactly as long as the file, so a retried state is encoded against
-the base the file holds.
+the base the file holds.  A download serves the committed container
+bytes as stored: never a torn or rolled-back record, never a re-encode.
 """
 
 import errno
@@ -15,7 +16,7 @@ import pytest
 
 from repro import Codec, NumarckConfig
 from repro.errors import NumarckError
-from repro.io import chain_to_bytes, container, load_chain
+from repro.io import chain_from_bytes, chain_to_bytes, container, load_chain
 from repro.io.container import CheckpointFile
 from repro.service import ServiceClient, ServiceConfig, ServiceServer
 from repro.service.app import CompressionService
@@ -32,9 +33,10 @@ def make_states(seed, n=2000, iterations=3):
     return states
 
 
-def durable(store, workers=2):
+def durable(store, workers=2, cfg=None):
     return ServiceConfig(workers=workers, capacity=8, store_dir=str(store),
-                         codec=NumarckConfig.from_dict(CFG))
+                         codec=cfg if cfg is not None
+                         else NumarckConfig.from_dict(CFG))
 
 
 @pytest.fixture
@@ -52,6 +54,12 @@ def scans(monkeypatch):
         return calls
 
     return install
+
+
+def direct(states, cfg=None):
+    """Container bytes of a local ``Codec`` encode of ``states``."""
+    cfg = cfg if cfg is not None else NumarckConfig.from_dict(CFG)
+    return chain_to_bytes(Codec(config=cfg).compress_chain(states))
 
 
 def compress_all(svc, chain_id, states):
@@ -152,3 +160,135 @@ class TestPersistFailure:
         with ServiceServer(durable(store)) as srv2:
             assert ServiceClient(port=srv2.port).download_chain("flaky") \
                 == expected
+
+
+class _NoTruncate:
+    """File proxy whose ``truncate`` fails, like a rollback on a failing
+    disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def truncate(self, size=None):
+        raise OSError(errno.EIO, "Input/output error")
+
+
+def _no_encode(*args, **kwargs):
+    raise AssertionError("a download re-encoded its chain")
+
+
+class TestDownload:
+    @pytest.mark.parametrize("stored", [True, False],
+                             ids=["durable", "in-memory"])
+    def test_download_encodes_nothing(self, tmp_path, monkeypatch, stored):
+        states = make_states(9, n=500, iterations=3)
+        config = (durable(tmp_path / "s") if stored else
+                  ServiceConfig(workers=1, capacity=8,
+                                codec=NumarckConfig.from_dict(CFG)))
+        expected = direct(states)
+        with CompressionService(config) as svc:
+            compress_all(svc, "c", states)
+            monkeypatch.setattr(container, "_write_chain", _no_encode)
+            monkeypatch.setattr(container, "encode_delta_bytes", _no_encode)
+            assert svc.chain_container("c") == expected
+
+    def test_torn_tail_served_as_recovered(self, tmp_path):
+        # Closed-loop chains: a restart resumes from the decoded state,
+        # which is the state a direct encode continues from too.
+        cfg = NumarckConfig.from_dict({**CFG, "reference": "reconstructed"})
+        states = make_states(4, iterations=4)
+        store = tmp_path / "s"
+        with CompressionService(durable(store, cfg=cfg)) as svc:
+            compress_all(svc, "torn", states[:-1])
+        path = store / "torn.nmk"
+        path.write_bytes(path.read_bytes()[:-7])  # tear the last record
+        recovered = chain_to_bytes(load_chain(path, cfg, recover="tail")[0])
+        assert recovered == direct(states[:-2], cfg)
+        with CompressionService(durable(store, cfg=cfg)) as svc:
+            # Downloaded before any append: the torn bytes are still on
+            # disk, past the committed prefix.
+            assert svc.chain_container("torn") == recovered
+            compress_all(svc, "torn", states[-2:])
+            assert svc.chain_container("torn") == direct(states, cfg)
+
+    @pytest.mark.parametrize("written", ["torn", "whole"])
+    def test_failed_rollback_never_served(self, tmp_path, monkeypatch,
+                                          written):
+        # The third record write (the second delta) puts half or all of
+        # its record on disk, then fails, and so does the rollback's
+        # truncate: those bytes stay in the file past the acknowledged
+        # states.  The next job's writer cuts them before appending.
+        states = make_states(5, iterations=4)
+        store = tmp_path / "s"
+        writes = []
+        original = CheckpointFile._write
+
+        def flaky(self, data):
+            writes.append(len(data))
+            if len(writes) != 3:
+                return original(self, data)
+            original(self, data if written == "whole"
+                     else data[: len(data) // 2])
+            self._fh = _NoTruncate(self._fh)
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(CheckpointFile, "_write", flaky)
+        with CompressionService(durable(store)) as svc:
+            compress_all(svc, "c", states[:2])
+            job = svc.submit_compress("c", pack_arrays([states[2]]))
+            assert svc.queue.wait(job.id, timeout=30).state == "failed"
+            acknowledged = direct(states[:2])
+            assert (store / "c.nmk").stat().st_size > len(acknowledged)
+            assert svc.chain_container("c") == acknowledged
+            compress_all(svc, "c", states[2:3])
+            assert svc.chain_container("c") == direct(states[:3])
+            compress_all(svc, "c", states[3:])
+            assert svc.chain_container("c") == direct(states)
+        assert (store / "c.nmk").read_bytes() == direct(states)
+
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    def test_in_memory_download_between_appends(self, adaptive):
+        cfg = NumarckConfig.from_dict({**CFG, "adaptive": adaptive})
+        states = make_states(6, iterations=5)
+        config = ServiceConfig(workers=1, capacity=8, codec=cfg)
+        with CompressionService(config) as svc:
+            for i, state in enumerate(states):
+                compress_all(svc, "mem", [state])
+                assert svc.chain_container("mem") \
+                    == direct(states[: i + 1], cfg)
+
+    def test_downloads_during_appends_are_whole(self, tmp_path):
+        # Downloads race appends on one chain, with frequent thread
+        # switches: every download must be a whole container of the
+        # chain so far, never one ending in a half-written record.
+        states = make_states(8, n=500, iterations=29)
+        served = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with CompressionService(durable(tmp_path / "s")) as svc:
+                compress_all(svc, "race", states[:1])
+
+                def download():
+                    while len(served) < 200:
+                        served.append(svc.chain_container("race"))
+
+                readers = [threading.Thread(target=download)
+                           for _ in range(2)]
+                for t in readers:
+                    t.start()
+                compress_all(svc, "race", states[1:])
+                for t in readers:
+                    t.join(60)
+                assert not any(t.is_alive() for t in readers)
+                final = svc.chain_container("race")
+        finally:
+            sys.setswitchinterval(interval)
+        assert final == direct(states)
+        for blob in served:
+            assert final.startswith(blob)
+            assert len(chain_from_bytes(blob)) <= len(states)

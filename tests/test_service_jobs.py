@@ -1,8 +1,10 @@
 """Unit tests for the service job queue: lifecycle, backpressure,
 cancellation, crash isolation and telemetry-fed progress."""
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,11 @@ from repro.errors import (
     ServiceUnavailableError,
     StateError,
 )
+from repro import Codec
+from repro.io import chain_to_bytes
+from repro.service.app import CompressionService, ServiceConfig
 from repro.service.jobs import JobQueue
+from repro.service.wire import unpack_arrays
 from repro.telemetry.tracer import get_telemetry
 
 
@@ -192,3 +198,30 @@ class TestProgress:
         assert doc["chain"] == "c1"
         assert doc["result_bytes"] == 1
         assert isinstance(doc["progress"], dict)
+
+
+class TestMemory:
+    def test_finished_job_drops_its_input(self):
+        # A finished job keeps its result, not the closure that pinned
+        # its input: here a decompress job's upload body.
+        rng = np.random.default_rng(7)
+        states = [rng.uniform(1.0, 2.0, 1000)]
+        states.append(states[0] * (1.0 + rng.normal(0.0, 1e-3, 1000)))
+        blob = chain_to_bytes(Codec().compress_chain(states))
+        with CompressionService(ServiceConfig(workers=1)) as svc:
+            body = memoryview(blob)
+            pinned = weakref.ref(body)
+            job = svc.submit_decompress(body)
+            del body
+            assert svc.queue.wait(job.id, timeout=30).state == "done"
+            gc.collect()
+            assert pinned() is None
+            assert job.fn is None
+            assert len(unpack_arrays(svc.job_result(job.id))) == 2
+
+    def test_cancelled_job_drops_its_input(self, queue):
+        queue.pause()
+        job = queue.submit("t", lambda: b"x")
+        queue.cancel(job.id)
+        queue.resume()
+        assert job.fn is None
