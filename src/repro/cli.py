@@ -44,7 +44,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import CheckpointChain, NumarckConfig, VariableSet
+from repro.core import (CheckpointChain, EncodedIteration, NumarckConfig,
+                        VariableSet)
 from repro.core.metrics import compression_ratio_paper
 from repro.io import load_chain, save_chain
 
@@ -291,7 +292,8 @@ def _cmd_decompress_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _describe_chain(name: str, chain: CheckpointChain, indent: str = "") -> None:
+def _describe_chain(name: str, full: np.ndarray,
+                    deltas: list[EncodedIteration], indent: str = "") -> None:
     from repro.telemetry.accounting import (
         delta_payload_nbytes,
         full_payload_nbytes,
@@ -299,16 +301,15 @@ def _describe_chain(name: str, chain: CheckpointChain, indent: str = "") -> None
         record_nbytes,
     )
 
-    full = chain.full_checkpoint
-    print(f"{indent}{name}: {len(chain)} iterations "
-          f"(1 full + {len(chain.deltas)} deltas), "
+    print(f"{indent}{name}: {1 + len(deltas)} iterations "
+          f"(1 full + {len(deltas)} deltas), "
           f"{full.size} points of shape {full.shape}")
     full_bytes = record_nbytes(full_payload_nbytes(full))
     stored = full_bytes
     raw = raw_nbytes(full.size)
     print(f"{indent}  full: {full_bytes:,} bytes on disk "
           f"({raw:,} raw)")
-    for i, enc in enumerate(chain.deltas, start=1):
+    for i, enc in enumerate(deltas, start=1):
         ratio = compression_ratio_paper(enc.n_points, enc.n_incompressible,
                                         enc.nbits,
                                         value_bits=enc.value_bits)
@@ -598,18 +599,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    from repro.errors import FormatError
+    from repro.io import CheckpointFile
 
-    try:
-        chain = load_chain(args.chain)
-    except FormatError:
-        vs = VariableSet.load(args.chain)
-        print(f"{args.chain}: multi-variable checkpoint, "
-              f"{len(vs.variables)} variables")
-        for name in vs.variables:
-            _describe_chain(name, vs.chain(name), indent="  ")
+    with CheckpointFile.open(args.chain) as f:
+        chains = f.read_chains()
+    if None in chains:
+        _describe_chain(str(args.chain), *chains[None])
         return 0
-    _describe_chain(str(args.chain), chain)
+    print(f"{args.chain}: multi-variable checkpoint, "
+          f"{len(chains)} variables")
+    for name, (full, deltas) in chains.items():
+        _describe_chain(name, full, deltas, indent="  ")
     return 0
 
 

@@ -90,7 +90,7 @@ class VariableSet:
 
     def save(self, path: str | Path) -> int:
         """Write all chains into one multi-variable container file."""
-        from repro.io.multichain import save_chains
+        from repro.io.container import save_chains
 
         if self._chains is None:
             raise StateError("no checkpoints recorded yet")
@@ -100,7 +100,7 @@ class VariableSet:
     def load(cls, path: str | Path,
              config: NumarckConfig | None = None) -> "VariableSet":
         """Rebuild a variable set from a container file."""
-        from repro.io.multichain import load_chains
+        from repro.io.container import load_chains
 
         chains = load_chains(path, config)
         out = cls(tuple(chains), config)

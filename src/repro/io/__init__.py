@@ -9,14 +9,18 @@ of silently feeding garbage into a restart.
 
 High-level API::
 
-    from repro.io import save_chain, load_chain, CheckpointFile
+    from repro.io import (CheckpointFile, load_chain, load_chains,
+                          save_chain, save_chains)
 
     save_chain(path, chain)                 # CheckpointChain -> file
-    full, deltas = load_chain(path)         # file -> arrays + EncodedIterations
+    chain = load_chain(path)                # file -> CheckpointChain
+
+    save_chains(path, {"dens": c1, "pres": c2})   # multi-variable file
+    chains = load_chains(path)              # -> {"dens": ..., "pres": ...}
 
     with CheckpointFile.create(path) as f:  # streaming writer
-        f.write_full(d0)
-        f.write_delta(encoded)
+        f.write_full(d0)                    # or write_full(d0, name="dens")
+        f.write_delta(encoded)              # or write_delta(enc, name="dens")
 
     with CheckpointFile.append(path) as f:  # crash-consistent appends
         f.write_delta(encoded)              # per-record fsync
@@ -34,11 +38,12 @@ from repro.io.container import (
     chain_from_bytes,
     chain_to_bytes,
     load_chain,
+    load_chains,
     salvage_truncate,
     save_chain,
+    save_chains,
 )
 from repro.io.durable import atomic_write, fsync_dir, retry_io
-from repro.io.multichain import MultiChainWriter, load_chains, save_chains
 from repro.io.streamed import (
     load_streamed,
     save_streamed,
@@ -60,7 +65,6 @@ __all__ = [
     "load_chain",
     "save_chains",
     "load_chains",
-    "MultiChainWriter",
     "save_streamed",
     "load_streamed",
     "chain_to_bytes",

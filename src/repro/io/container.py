@@ -5,25 +5,36 @@ File layout::
     file  := magic:u8[4] version:u16 record*
     record:= tag:u8[4] payload_len:u64 payload crc32:u32
 
-Tags: ``b"FULL"`` (exact checkpoint) and ``b"DELT"`` (encoded iteration).
+Tags:
+
+* ``b"FULL"`` (exact checkpoint) and ``b"DELT"`` (encoded iteration): a
+  single-chain file is one FULL followed by zero or more DELT records;
+* ``b"NFUL"`` and ``b"NDEL"``: the same payloads behind a variable-name
+  prefix ``name_len:u8 name``.  A multi-variable file holds one chain per
+  variable, like a real FLASH checkpoint file holds every variable.  The
+  records may interleave across variables (e.g. appended iteration by
+  iteration); each variable's first record is its NFUL;
+* ``b"SHDR"`` and ``b"CHNK"``: a streamed iteration
+  (:mod:`repro.io.streamed`).
+
 The CRC covers tag + length + payload, so any bit flip or truncation in a
-record is caught.  Records are strictly appended; a chain file is one FULL
-followed by zero or more DELT records.
+record is caught.  Records are strictly appended.
 
 Durability model
 ----------------
 
-* :func:`save_chain` rewrites the whole file through
-  :func:`~repro.io.durable.atomic_write`: a crash mid-save leaves the old
-  file intact, never a torn mixture.
+* :meth:`CheckpointFile.save` -- behind :func:`save_chain`,
+  :func:`save_chains` and :func:`~repro.io.streamed.save_streamed` --
+  rewrites the whole file through :func:`~repro.io.durable.atomic_write`:
+  a crash mid-save leaves the old file intact, never a torn mixture.
 * :meth:`CheckpointFile.append` adds records in place with per-record
   ``fsync``: a crash mid-append can only damage the record being written
   (a *torn tail*), never an already-persisted one.
 * :meth:`CheckpointFile.records` with ``strict=False`` -- and
-  :func:`load_chain` with ``recover="tail"`` -- salvage the longest valid
-  record prefix from a torn file instead of raising.  Corruption *before*
-  the last record still raises: the delta chain after a damaged interior
-  record cannot be trusted.
+  :func:`load_chain` / :func:`load_chains` with ``recover="tail"`` --
+  salvage the longest valid record prefix from a torn file instead of
+  raising.  Corruption *before* the last record still raises: the delta
+  chain after a damaged interior record cannot be trusted.
 """
 
 from __future__ import annotations
@@ -54,11 +65,14 @@ from repro.io.format import (
 )
 from repro.telemetry.tracer import get_telemetry
 
-__all__ = ["CheckpointFile", "save_chain", "load_chain", "salvage_truncate",
-           "chain_to_bytes", "chain_from_bytes", "WriteHook"]
+__all__ = ["CheckpointFile", "save_chain", "load_chain", "save_chains",
+           "load_chains", "salvage_truncate", "chain_to_bytes",
+           "chain_from_bytes", "WriteHook"]
 
 TAG_FULL = b"FULL"
 TAG_DELTA = b"DELT"
+TAG_NAMED_FULL = b"NFUL"
+TAG_NAMED_DELTA = b"NDEL"
 
 #: length of ``magic + version`` -- the offset of the first record.
 HEADER_SIZE = 6
@@ -67,6 +81,10 @@ HEADER_SIZE = 6
 #: the actual ``fh.write(data)`` (or deliberately fails to, for fault
 #: injection).
 WriteHook = Callable[[BinaryIO, bytes], None]
+
+#: what :meth:`CheckpointFile.read_chains` returns: ``(full, deltas)`` per
+#: chain, keyed by variable name (``None`` for a single-chain file).
+Chains = dict[str | None, tuple[np.ndarray, list[EncodedIteration]]]
 
 
 class _ScanFailure(Exception):
@@ -140,8 +158,90 @@ def _iter_frames(fh: BinaryIO) -> Iterator[tuple[bytes, bytes]]:
         yield tag, payload
 
 
+def _salvage_report(path: str | Path, kept: int, end: int, file_size: int,
+                    reason: str | None) -> SalvageReport:
+    """What a salvage kept (``kept`` records ending at ``end``) and cut."""
+    truncated = file_size - end
+    if truncated:
+        get_telemetry().metrics.counter("io.records_salvaged").inc(kept)
+    return SalvageReport(path=str(path), records_kept=kept,
+                         records_dropped=1 if truncated else 0,
+                         bytes_truncated=truncated, reason=reason)
+
+
+def _cut_to_valid_prefix(fh: BinaryIO, path: str | Path, *, interior: bool,
+                         on_record: Callable[[bytes, bytes], None]
+                         | None = None) -> SalvageReport:
+    """Truncate ``fh`` just past its last CRC-valid record and leave it
+    positioned there; ``on_record(tag, payload)`` sees each kept record.
+
+    A torn tail is always cut.  Damage with file content after it is cut
+    too with ``interior`` (a repair), and raises :class:`FormatError`
+    otherwise (an append would bury the corruption).
+    """
+    end, kept, reason = HEADER_SIZE, 0, None
+    try:
+        for tag, payload in _iter_frames(fh):
+            end = fh.tell()
+            kept += 1
+            if on_record is not None:
+                on_record(tag, payload)
+    except _ScanFailure as exc:
+        if not (exc.tail or interior):
+            raise FormatError(
+                f"{path}: damaged interior record cannot be repaired by "
+                f"appending: {exc.reason}") from None
+        reason = exc.reason
+    file_size = os.fstat(fh.fileno()).st_size
+    if file_size > end:
+        fh.truncate(end)
+        fh.flush()
+        os.fsync(fh.fileno())
+    fh.seek(end)
+    return _salvage_report(path, kept, end, file_size, reason)
+
+
+def _tagged(name: str | None, tag: bytes, named_tag: bytes,
+            payload: bytes) -> tuple[bytes, bytes]:
+    """``(tag, payload)`` of a chain record: as given for a single chain,
+    ``named_tag`` with the ``name_len:u8 name`` prefix for a variable."""
+    if name is None:
+        return tag, payload
+    raw = name.encode("utf-8")
+    if not raw:
+        raise FormatError("variable name must be non-empty")
+    if len(raw) > 255:
+        raise FormatError(f"variable name too long: {name!r}")
+    return named_tag, struct.pack("<B", len(raw)) + raw + payload
+
+
+def _chain_record(tag: bytes, payload: bytes
+                  ) -> tuple[bool, str | None, bytes] | None:
+    """``(is_full, name, body)`` of a chain record, ``None`` for any other
+    tag; ``name`` is ``None`` for FULL/DELT records."""
+    if tag in (TAG_FULL, TAG_DELTA):
+        return tag == TAG_FULL, None, payload
+    if tag not in (TAG_NAMED_FULL, TAG_NAMED_DELTA):
+        return None
+    if not payload:
+        raise FormatError("empty named record")
+    nlen = payload[0]
+    if len(payload) < 1 + nlen:
+        raise FormatError("truncated variable name")
+    try:
+        name = payload[1 : 1 + nlen].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"corrupt variable name: {exc}") from exc
+    return tag == TAG_NAMED_FULL, name, payload[1 + nlen :]
+
+
 class CheckpointFile:
-    """Streaming writer/reader for framed checkpoint records."""
+    """Streaming writer/reader for framed checkpoint records.
+
+    ``write_full``/``write_delta`` with ``name=None`` write a single-chain
+    file; with a variable name they write that variable's chain in a
+    multi-variable file.
+    """
 
     def __init__(self, fh: BinaryIO, mode: str, *,
                  write_hook: WriteHook | None = None,
@@ -164,9 +264,11 @@ class CheckpointFile:
         #: :class:`SalvageReport` describing what ``append()`` found and
         #: cut when it opened the file; ``None`` for other constructors.
         self.salvage: SalvageReport | None = None
-        #: representative table of the last delta written/seen on this
-        #: handle -- the dedup anchor for table-reference records.
-        self._last_reps: np.ndarray | None = None
+        #: per chain (keyed by variable name, ``None`` for a single chain):
+        #: the table of its last delta written/seen on this handle -- the
+        #: dedup anchor for table-reference records.  A name is a key
+        #: once its full record is.
+        self._anchors: dict[str | None, np.ndarray | None] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -189,11 +291,43 @@ class CheckpointFile:
         return cls(fh, "w", write_hook=write_hook, owns_handle=False)
 
     @classmethod
+    def save(cls, path: str | Path,
+             write: Callable[["CheckpointFile"], None],
+             span: str, **attrs) -> int:
+        """Replace ``path`` with the records ``write`` puts on a fresh
+        writer; returns the bytes written.
+
+        The file is produced via :func:`~repro.io.durable.atomic_write`
+        under :func:`~repro.io.durable.retry_io`: the previous contents of
+        ``path`` survive any mid-write crash, and transient ``OSError``\\ s
+        are retried with backoff.  ``span`` names the telemetry span of the
+        save (``attrs`` are its attributes).
+        """
+
+        def _write_all() -> None:
+            with atomic_write(path) as fh:
+                write(cls.from_handle(fh))
+
+        with get_telemetry().span(span, **attrs) as sp:
+            retry_io(_write_all)
+            nbytes = Path(path).stat().st_size
+            sp.set(bytes_out=nbytes)
+        return nbytes
+
+    @classmethod
     def open(cls, path: str | Path) -> "CheckpointFile":
         """Open an existing checkpoint file for reading (validates header)."""
-        fh = open(path, "rb")
+        return cls._reader(open(path, "rb"), path)
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "CheckpointFile":
+        """Read container bytes held in memory (validates header)."""
+        return cls._reader(io.BytesIO(data), "<bytes>")
+
+    @classmethod
+    def _reader(cls, fh: BinaryIO, label: str | Path) -> "CheckpointFile":
         try:
-            _check_header(fh, path)
+            _check_header(fh, label)
         except FormatError:
             fh.close()
             raise
@@ -212,6 +346,9 @@ class CheckpointFile:
         what (if anything) was cut.  A file whose damage is *not* a torn
         tail (valid records after a corrupt one) raises
         :class:`FormatError` -- appending to it would bury the corruption.
+        The scan also replays every chain's table-dedup anchor, so
+        appended reuse-hit deltas keep eliding repeated tables, in
+        single-chain and multi-variable files alike.
 
         With ``sync`` (the default) every appended record is flushed and
         ``fsync``\\ ed individually, so a crash can only tear the record
@@ -220,51 +357,23 @@ class CheckpointFile:
         fh = open(path, "r+b")
         try:
             _check_header(fh, path)
-            ends = [HEADER_SIZE]
-            reason = None
-            last_reps = None
-            try:
-                for tag, payload in _iter_frames(fh):
-                    ends.append(fh.tell())
-                    # Rebuild the table-dedup anchor from the surviving
-                    # records so appended reuse-hit deltas keep eliding
-                    # repeated tables correctly.
-                    if tag == TAG_DELTA:
-                        last_reps = peek_delta_table(payload, last_reps)
-                    elif tag == TAG_FULL:
-                        last_reps = None
-            except _ScanFailure as exc:
-                if not exc.tail:
-                    raise FormatError(
-                        f"{path}: damaged interior record cannot be "
-                        f"repaired by appending: {exc.reason}"
-                    ) from None
-                reason = exc.reason
+            obj = cls(fh, "w", write_hook=write_hook, sync=sync)
+            obj.salvage = _cut_to_valid_prefix(fh, path, interior=False,
+                                               on_record=obj._found)
         except BaseException:
             fh.close()
             raise
-        file_size = os.fstat(fh.fileno()).st_size
-        truncated = file_size - ends[-1]
-        if truncated:
-            fh.truncate(ends[-1])
-            fh.flush()
-            os.fsync(fh.fileno())
-        fh.seek(ends[-1])
-        obj = cls(fh, "w", write_hook=write_hook, sync=sync)
-        obj.n_records = len(ends) - 1
-        obj._record_ends = ends
-        obj._last_reps = last_reps
-        obj.salvage = SalvageReport(
-            path=str(path),
-            records_kept=len(ends) - 1,
-            records_dropped=1 if truncated else 0,
-            bytes_truncated=truncated,
-            reason=reason,
-        )
-        if truncated:
-            get_telemetry().metrics.counter(
-                "io.records_salvaged").inc(obj.salvage.records_kept)
         return obj
+
+    def _found(self, tag: bytes, payload: bytes) -> None:
+        """Account for one valid record already in the file."""
+        self.n_records += 1
+        self._record_ends.append(self._fh.tell())
+        rec = _chain_record(tag, payload)
+        if rec is not None:
+            is_full, name, body = rec
+            self._anchors[name] = (None if is_full else peek_delta_table(
+                body, self._anchors.get(name)))
 
     def close(self) -> None:
         if self._owns_handle:
@@ -350,34 +459,42 @@ class CheckpointFile:
             os.fsync(self._fh.fileno())
         del self._record_ends[n + 1:]
         self.n_records = n
-        # The dedup anchor may have been cut away; writing the next delta
+        # The dedup anchors may have been cut away; writing the next delta
         # with a full table is always safe.
-        self._last_reps = None
+        self._anchors = dict.fromkeys(self._anchors)
 
-    def write_full(self, data: np.ndarray) -> None:
-        """Append an exact full-checkpoint record."""
-        self.write_record(TAG_FULL, encode_full_bytes(data))
-        self._last_reps = None
+    def write_full(self, data: np.ndarray, name: str | None = None) -> None:
+        """Append an exact full-checkpoint record (of variable ``name``)."""
+        if name is not None and name in self._anchors:
+            raise FormatError(f"variable {name!r} already has a full record")
+        self.write_record(*_tagged(name, TAG_FULL, TAG_NAMED_FULL,
+                                   encode_full_bytes(data)))
+        self._anchors[name] = None
 
-    def write_delta(self, encoded: EncodedIteration) -> None:
-        """Append one encoded-iteration record.
+    def write_delta(self, encoded: EncodedIteration,
+                    name: str | None = None) -> None:
+        """Append one encoded-iteration record (of variable ``name``).
 
         When the iteration reused the previous delta's bin model
         (``model_reused``) and the tables verifiably match, the table is
         stored as a back-reference instead of repeating it.
         """
+        if name is not None and name not in self._anchors:
+            raise FormatError(f"variable {name!r} has no full record yet")
+        prev = self._anchors.get(name)
         ref = bool(
             encoded.model_reused
-            and self._last_reps is not None
-            and encoded.representatives.size == self._last_reps.size
-            and np.array_equal(encoded.representatives, self._last_reps)
+            and prev is not None
+            and encoded.representatives.size == prev.size
+            and np.array_equal(encoded.representatives, prev)
         )
-        self.write_record(TAG_DELTA, encode_delta_bytes(encoded, table_ref=ref))
+        self.write_record(*_tagged(name, TAG_DELTA, TAG_NAMED_DELTA,
+                                   encode_delta_bytes(encoded, table_ref=ref)))
         if ref:
             get_telemetry().metrics.counter("io.table_refs").inc()
         else:
-            self._last_reps = np.asarray(encoded.representatives,
-                                         dtype=np.float64).copy()
+            self._anchors[name] = np.asarray(encoded.representatives,
+                                             dtype=np.float64).copy()
 
     # -- reading -----------------------------------------------------------
 
@@ -409,34 +526,89 @@ class CheckpointFile:
             self.valid_end = self._fh.tell()
             yield tag, payload
 
-    def read_chain(self, strict: bool = True
-                   ) -> tuple[np.ndarray, list[EncodedIteration]]:
-        """Read a FULL record followed by DELT records."""
-        full: np.ndarray | None = None
-        deltas: list[EncodedIteration] = []
-        last_reps: np.ndarray | None = None
+    def read_chains(self, strict: bool = True) -> Chains:
+        """Read every chain in the file as ``{name: (full, deltas)}``.
+
+        A single-chain file (FULL/DELT records) reads as ``{None: ...}``,
+        a multi-variable file (NFUL/NDEL records) as one entry per
+        variable in the order of their full records; their depths may
+        differ.  A file mixing the two raises :class:`FormatError`;
+        ``strict`` is as in :meth:`records`.
+        """
+        chains: Chains = {}
         for tag, payload in self.records(strict=strict):
-            if tag == TAG_FULL:
-                if full is not None:
-                    raise FormatError("multiple FULL records in one chain file")
-                full = decode_full_bytes(payload)
-            elif tag == TAG_DELTA:
-                if full is None:
-                    raise FormatError("DELT record before FULL record")
-                enc = decode_delta_bytes(payload, prev_reps=last_reps)
-                last_reps = enc.representatives
-                deltas.append(enc)
-            else:
+            rec = _chain_record(tag, payload)
+            if rec is None:
                 raise FormatError(f"unknown record tag {tag!r}")
-        if full is None:
+            is_full, name, body = rec
+            if chains and (name is None) != (None in chains):
+                raise FormatError("file mixes named and unnamed records")
+            what = "the chain" if name is None else f"variable {name!r}"
+            if is_full:
+                if name in chains:
+                    raise FormatError(f"second FULL record for {what}")
+                chains[name] = (decode_full_bytes(body), [])
+            elif name not in chains:
+                raise FormatError(f"{tag.decode()} record before FULL "
+                                  f"record for {what}")
+            else:
+                deltas = chains[name][1]
+                prev = deltas[-1].representatives if deltas else None
+                deltas.append(decode_delta_bytes(body, prev_reps=prev))
+        if not chains:
             raise FormatError("checkpoint file has no FULL record")
-        return full, deltas
+        return chains
 
 
-def _write_chain(f: CheckpointFile, chain: CheckpointChain) -> None:
-    f.write_full(chain.full_checkpoint)
-    for enc in chain.deltas:
-        f.write_delta(enc)
+def _single_chain(chains: Chains, source: str | Path
+                  ) -> tuple[np.ndarray, list[EncodedIteration]]:
+    if None not in chains:
+        raise FormatError(f"{source}: multi-variable file ({len(chains)} "
+                          f"variables); read it with load_chains")
+    return chains[None]
+
+
+def _read_file(path: str | Path, recover: str | None
+               ) -> tuple[Chains, SalvageReport | None]:
+    """:meth:`CheckpointFile.read_chains` of ``path``: strict when
+    ``recover`` is ``None``, else salvaging a torn tail and reporting it."""
+    if recover not in (None, "tail"):
+        raise ValueError(f"unknown recover mode {recover!r}")
+    strict = recover is None
+    try:
+        f = CheckpointFile.open(path)
+    except FormatError as exc:
+        if strict:
+            raise
+        raise SalvageError(f"{path}: nothing to salvage: {exc}") from exc
+    with f:
+        try:
+            chains = f.read_chains(strict=strict)
+        except FormatError as exc:
+            if strict or f.valid_end > HEADER_SIZE:
+                raise
+            # Not even the first record survived.
+            raise SalvageError(f"{path}: nothing to salvage: {exc}") from exc
+        if strict:
+            return chains, None
+        kept = sum(1 + len(deltas) for _full, deltas in chains.values())
+        return chains, _salvage_report(
+            path, kept, f.valid_end, _stream_size(f._fh),
+            f.damage[0] if f.damage else None)
+
+
+def _write_chains(f: CheckpointFile,
+                  chains: dict[str | None, CheckpointChain]) -> None:
+    """Every full record, then the deltas interleaved by iteration (each
+    chain's delta 1, then delta 2, ...) -- the order an in-situ writer
+    appends them in."""
+    for name, chain in chains.items():
+        f.write_full(chain.full_checkpoint, name)
+    depth = max(len(chain.deltas) for chain in chains.values())
+    for i in range(depth):
+        for name, chain in chains.items():
+            if i < len(chain.deltas):
+                f.write_delta(chain.deltas[i], name)
 
 
 def chain_to_bytes(chain: CheckpointChain) -> bytes:
@@ -445,7 +617,7 @@ def chain_to_bytes(chain: CheckpointChain) -> bytes:
     buf = io.BytesIO()
     with get_telemetry().span("io.chain_to_bytes",
                               records=1 + len(chain.deltas)) as sp:
-        _write_chain(CheckpointFile.from_handle(buf), chain)
+        _write_chains(CheckpointFile.from_handle(buf), {None: chain})
         data = buf.getvalue()
         sp.set(bytes_out=len(data))
     return data
@@ -459,12 +631,10 @@ def chain_from_bytes(data: bytes,
     raises :class:`~repro.errors.FormatError` -- bytes received over a
     checksummed transport have no torn-tail story to salvage).
     """
-    buf = io.BytesIO(data)
     with get_telemetry().span("io.chain_from_bytes",
                               bytes_in=len(data)) as sp:
-        _check_header(buf, "<bytes>")
-        f = CheckpointFile(buf, "r", owns_handle=False)
-        full, deltas = f.read_chain()
+        full, deltas = _single_chain(
+            CheckpointFile.from_bytes(data).read_chains(), "<bytes>")
         sp.set(records=1 + len(deltas))
     return _rebuild_chain(full, deltas, config)
 
@@ -477,61 +647,31 @@ def salvage_truncate(path: str | Path) -> SalvageReport:
     (they decode against an untrusted base, so they are unusable anyway).
     Returns a :class:`SalvageReport`; a clean file is left untouched.
     """
-    fh = open(path, "r+b")
-    try:
+    with open(path, "r+b") as fh:
         _check_header(fh, path)
-        end = HEADER_SIZE
-        kept = 0
-        reason = None
-        try:
-            for _tag, _payload in _iter_frames(fh):
-                end = fh.tell()
-                kept += 1
-        except _ScanFailure as exc:
-            reason = exc.reason
-        file_size = os.fstat(fh.fileno()).st_size
-        truncated = file_size - end
-        if truncated:
-            fh.truncate(end)
-            fh.flush()
-            os.fsync(fh.fileno())
-    finally:
-        fh.close()
-    if truncated:
-        get_telemetry().metrics.counter("io.records_salvaged").inc(kept)
-    return SalvageReport(path=str(path), records_kept=kept,
-                         records_dropped=1 if truncated else 0,
-                         bytes_truncated=truncated, reason=reason)
+        return _cut_to_valid_prefix(fh, path, interior=True)
 
 
-def save_chain(path: str | Path, chain: CheckpointChain, *,
-               durable: bool = True) -> int:
-    """Write a :class:`CheckpointChain` to ``path``; returns bytes written.
+def save_chain(path: str | Path, chain: CheckpointChain) -> int:
+    """Write a :class:`CheckpointChain` to ``path`` atomically (see
+    :meth:`CheckpointFile.save`); returns bytes written."""
+    return CheckpointFile.save(path, lambda f: _write_chains(f, {None: chain}),
+                               "io.save_chain", records=1 + len(chain.deltas))
 
-    With ``durable`` (the default) the file is produced via
-    :func:`~repro.io.durable.atomic_write` under
-    :func:`~repro.io.durable.retry_io`: the previous contents of ``path``
-    survive any mid-write crash, and transient ``OSError``\\ s are retried
-    with backoff.
+
+def save_chains(path: str | Path, chains: dict[str, CheckpointChain]) -> int:
+    """Write a set of named chains into one multi-variable file atomically
+    (see :meth:`CheckpointFile.save`); returns bytes written.
+
+    Records are interleaved by iteration (all variables' fulls, then every
+    variable's delta 1, delta 2, ...), matching how an in-situ writer
+    would append them.
     """
-
-    def _write_all() -> None:
-        if durable:
-            with atomic_write(path) as fh:
-                _write_chain(CheckpointFile.from_handle(fh), chain)
-        else:
-            with CheckpointFile.create(path) as f:
-                _write_chain(f, chain)
-
-    with get_telemetry().span("io.save_chain", records=1 + len(chain.deltas),
-                              durable=durable) as sp:
-        if durable:
-            retry_io(_write_all)
-        else:
-            _write_all()
-        nbytes = Path(path).stat().st_size
-        sp.set(bytes_out=nbytes)
-    return nbytes
+    if not chains:
+        raise FormatError("no chains to save")
+    return CheckpointFile.save(path, lambda f: _write_chains(f, chains),
+                               "io.save_chains",
+                               records=sum(len(c) for c in chains.values()))
 
 
 def _rebuild_chain(full: np.ndarray, deltas: list[EncodedIteration],
@@ -563,41 +703,33 @@ def load_chain(path: str | Path,
     raises :class:`FormatError`; a file with no salvageable prefix at all
     (bad header, no FULL record) raises :class:`SalvageError`.
     """
-    if recover not in (None, "tail"):
-        raise ValueError(f"unknown recover mode {recover!r}")
-    tel = get_telemetry()
-    if recover is None:
-        with tel.span("io.load_chain") as sp:
-            with CheckpointFile.open(path) as f:
-                full, deltas = f.read_chain()
-            sp.set(records=1 + len(deltas),
-                   bytes_in=Path(path).stat().st_size)
-            return _rebuild_chain(full, deltas, config)
+    with get_telemetry().span("io.load_chain", recover=recover) as sp:
+        chains, report = _read_file(path, recover)
+        full, deltas = _single_chain(chains, path)
+        nbytes = Path(path).stat().st_size
+        sp.set(records=1 + len(deltas),
+               bytes_in=nbytes - (report.bytes_truncated if report else 0))
+        chain = _rebuild_chain(full, deltas, config)
+    return chain if report is None else (chain, report)
 
-    with tel.span("io.load_chain", recover="tail") as sp:
-        try:
-            f = CheckpointFile.open(path)
-        except FormatError as exc:
-            raise SalvageError(f"{path}: nothing to salvage: {exc}") from exc
-        with f:
-            try:
-                full, deltas = f.read_chain(strict=False)
-            except FormatError as exc:
-                if f.valid_end == HEADER_SIZE:
-                    # Not even the FULL record survived.
-                    raise SalvageError(
-                        f"{path}: nothing to salvage: {exc}") from exc
-                raise
-            file_size = os.fstat(f._fh.fileno()).st_size  # noqa: SLF001
-            truncated = file_size - f.valid_end
-            report = SalvageReport(
-                path=str(path),
-                records_kept=1 + len(deltas),
-                records_dropped=1 if truncated else 0,
-                bytes_truncated=truncated,
-                reason=f.damage[0] if f.damage else None,
-            )
-        sp.set(records=report.records_kept, bytes_in=f.valid_end)
-        if truncated:
-            tel.metrics.counter("io.records_salvaged").inc(report.records_kept)
-        return _rebuild_chain(full, deltas, config), report
+
+def load_chains(path: str | Path,
+                config: NumarckConfig | None = None,
+                recover: str | None = None):
+    """Read a multi-variable checkpoint file back into ``{name: chain}``.
+
+    With ``recover="tail"`` a torn trailing record is dropped instead of
+    raising and the call returns ``(chains, SalvageReport)``.  Because a
+    torn tail can cut mid-iteration, the surviving chains may differ in
+    length by one; callers resuming a run should truncate them to the
+    shortest (see :meth:`CheckpointChain.truncate`).  Interior corruption
+    still raises :class:`FormatError`; a file with no salvageable records
+    raises :class:`SalvageError`.
+    """
+    chains, report = _read_file(path, recover)
+    if None in chains:
+        raise FormatError(f"{path}: single-chain file; read it with "
+                          f"load_chain")
+    out = {name: CheckpointChain.resume(full, deltas, config)
+           for name, (full, deltas) in chains.items()}
+    return out if report is None else (out, report)

@@ -14,9 +14,10 @@ blocks implement the standard POSIX recipe:
   exponential backoff, while letting permanent failures (``ENOENT``,
   ``EACCES``, ``ENOSPC``, ...) surface immediately.
 
+:meth:`~repro.io.container.CheckpointFile.save` -- behind
 :func:`~repro.io.container.save_chain`,
-:func:`~repro.io.multichain.save_chains` and
-:func:`~repro.io.streamed.save_streamed` all go through these helpers;
+:func:`~repro.io.container.save_chains` and
+:func:`~repro.io.streamed.save_streamed` -- goes through these helpers;
 append-mode persistence (:meth:`~repro.io.container.CheckpointFile.append`)
 relies on per-record ``fsync`` instead, because an append never rewrites
 already-durable records.

@@ -28,8 +28,7 @@ import numpy as np
 
 from repro.core.streaming import ChunkRecord, StreamedIteration
 from repro.errors import FormatError
-from repro.io.container import CheckpointFile, _check_header
-from repro.io.durable import atomic_write, retry_io
+from repro.io.container import CheckpointFile
 from repro.io.format import (_FLAG_FLOAT32_VALUES, _FLAG_ZERO_RESERVED,
                              _pack_point_tail, _parse_point_tail)
 from repro.telemetry.tracer import get_telemetry
@@ -112,34 +111,13 @@ def _write_records(f: CheckpointFile, streamed: StreamedIteration) -> None:
         f.write_record(TAG_CHUNK, _chunk_payload(chunk, streamed))
 
 
-def save_streamed(path: str | Path, streamed: StreamedIteration, *,
-                  durable: bool = True) -> int:
-    """Write a streamed iteration chunk by chunk; returns bytes written.
-
-    With ``durable`` (the default) the file is replaced atomically via
-    :func:`~repro.io.durable.atomic_write` under
-    :func:`~repro.io.durable.retry_io`, so a crash mid-save never leaves a
-    torn stream behind.
-    """
-
-    def _write_all() -> None:
-        if durable:
-            with atomic_write(path) as fh:
-                _write_records(CheckpointFile.from_handle(fh), streamed)
-        else:
-            with CheckpointFile.create(path) as f:
-                _write_records(f, streamed)
-
-    with get_telemetry().span("io.save_streamed",
-                              n_chunks=len(streamed.chunks),
-                              durable=durable) as sp:
-        if durable:
-            retry_io(_write_all)
-        else:
-            _write_all()
-        nbytes = Path(path).stat().st_size
-        sp.set(bytes_out=nbytes)
-    return nbytes
+def save_streamed(path: str | Path, streamed: StreamedIteration) -> int:
+    """Write a streamed iteration chunk by chunk, atomically (see
+    :meth:`~repro.io.container.CheckpointFile.save`, so a crash mid-save
+    never leaves a torn stream behind); returns bytes written."""
+    return CheckpointFile.save(path, lambda f: _write_records(f, streamed),
+                               "io.save_streamed",
+                               n_chunks=len(streamed.chunks))
 
 
 def streamed_to_bytes(streamed: StreamedIteration) -> bytes:
@@ -157,12 +135,9 @@ def streamed_to_bytes(streamed: StreamedIteration) -> bytes:
 def streamed_from_bytes(data: bytes) -> StreamedIteration:
     """Rebuild a :class:`~repro.core.streaming.StreamedIteration` from
     container bytes (strict; the in-memory twin of :func:`load_streamed`)."""
-    buf = io.BytesIO(data)
     with get_telemetry().span("io.streamed_from_bytes",
                               bytes_in=len(data)) as sp:
-        _check_header(buf, "<bytes>")
-        f = CheckpointFile(buf, "r", owns_handle=False)
-        header, chunks = _read_stream_records(f)
+        header, chunks = _read_stream_records(CheckpointFile.from_bytes(data))
         sp.set(n_chunks=len(chunks))
     return _assemble_stream(header, chunks)
 

@@ -69,8 +69,8 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     def log_message(self, fmt: str, *args: Any) -> None:
-        # Access logging goes through telemetry (span per request), not
-        # stderr; keep test output clean.
+        # Access logging is off: the base class would write every request
+        # to stderr, and requests open no telemetry span either.
         pass
 
     def _read_body(self) -> bytes:

@@ -87,6 +87,22 @@ class TestErrors:
         assert main(["inspect", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_inspect_names_delta_before_full(self, tmp_path, arrays, capsys):
+        """A single-chain file whose DELT precedes its FULL is reported as
+        exactly that, not as a malformed multi-variable file."""
+        from repro.core import NumarckConfig, encode_pair
+        from repro.io import CheckpointFile
+
+        prev, curr = np.load(arrays[0]), np.load(arrays[1])
+        path = tmp_path / "d.nmk"
+        with CheckpointFile.create(path) as f:
+            f.write_delta(encode_pair(prev, curr, NumarckConfig())[0])
+            f.write_full(prev)
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "before FULL" in err
+        assert "multi" not in err
+
     def test_bad_config_value(self, tmp_path, arrays, capsys):
         chain = str(tmp_path / "c.nmk")
         rc = main(["init", chain, arrays[0], "--error-bound", "5.0"])

@@ -1,6 +1,7 @@
 """One encode kernel behind the pair, chunked and SPMD encoders.
 
-* float64 containers keep their exact bytes (sha256 pins);
+* float64 containers keep their exact bytes (sha256 pins), multi-variable
+  files with per-variable table references included;
 * for one bin table, the three drivers produce identical per-point
   output for float64 and float32 input;
 * a chain append computes the change ratios once and takes its error
@@ -23,8 +24,8 @@ from repro.core.encoder import encode_pair
 from repro.core.metrics import iteration_stats
 from repro.core.strategies.base import BinModel
 from repro.core.streaming import _ChunkedEncoder
-from repro.io import (chain_to_bytes, encode_delta_bytes, streamed_from_bytes,
-                      streamed_to_bytes)
+from repro.io import (CheckpointFile, chain_to_bytes, encode_delta_bytes,
+                      save_chains, streamed_from_bytes, streamed_to_bytes)
 from repro.parallel import SerialComm, parallel_encode
 
 
@@ -69,6 +70,47 @@ class TestPinnedFloat64Bytes:
         assert streamed.value_bits == 64
         assert _sha(streamed_to_bytes(streamed)) == (
             "560f12a79bfbc01f491329a449201d4afc52b6a492d5f5604afa3751e9c654ab")
+
+
+def _adaptive_chains() -> dict:
+    """Two adaptive chains of unequal depth: reuse hits on both make the
+    multi-variable writer store per-variable table references."""
+    cfg = NumarckConfig(error_bound=1e-3, nbits=8, strategy="log_scale",
+                        adaptive=True)
+    states = _states()
+    return {"dens": Codec(config=cfg).compress_chain(states),
+            "pres": Codec(config=cfg).compress_chain(
+                [s * 1.5 for s in states[:3]])}
+
+
+class TestPinnedMultiVariableBytes:
+    def test_save_chains(self, tmp_path):
+        path = tmp_path / "m.nmk"
+        save_chains(path, _adaptive_chains())
+        with CheckpointFile.open(path) as f:
+            # NDEL payload: name_len:u8 name nbits:u8 flags:u8 ...
+            refs = [bool(p[p[0] + 2] & 0x08)
+                    for tag, p in f.records() if tag == b"NDEL"]
+        assert refs == [False, False, True, True, True]
+        assert _sha(path.read_bytes()) == (
+            "df7eb24f1498aeb99fecc0d6f0c5f8391f6fa19b856f4edc4cd1f3108241958b")
+
+    def test_reopened_append_equals_save_chains(self, tmp_path):
+        chains = _adaptive_chains()
+        saved = tmp_path / "saved.nmk"
+        save_chains(saved, chains)
+        path = tmp_path / "appended.nmk"
+        with CheckpointFile.create(path) as w:
+            for name, chain in chains.items():
+                w.write_full(chain.full_checkpoint, name=name)
+            for name, chain in chains.items():
+                w.write_delta(chain.deltas[0], name=name)
+        with CheckpointFile.append(path) as w:
+            for i in (1, 2):
+                for name, chain in chains.items():
+                    if i < len(chain.deltas):
+                        w.write_delta(chain.deltas[i], name=name)
+        assert path.read_bytes() == saved.read_bytes()
 
 
 @st.composite

@@ -152,21 +152,10 @@ class TestDurableSave:
         assert path.read_bytes() == before
         np.testing.assert_array_equal(load_chain(path).reconstruct(), data)
 
-    def test_save_chain_durable_false_still_roundtrips(self, tmp_path, rng):
-        data = rng.uniform(1, 2, 128)
-        chain = CheckpointChain(data, NumarckConfig(error_bound=1e-3))
-        chain.append(data * 1.001)
-        path = tmp_path / "nd.nmk"
-        save_chain(path, chain, durable=False)
-        np.testing.assert_allclose(load_chain(path).reconstruct(),
-                                   chain.reconstruct())
-
-    def test_durable_and_plain_writes_identical_bytes(self, tmp_path, rng):
+    def test_save_chain_bytes_equal_chain_to_bytes(self, tmp_path, rng):
         data = rng.uniform(1, 2, 128)
         chain = CheckpointChain(data, NumarckConfig(error_bound=1e-3))
         chain.append(data * 1.002)
-        a, b = tmp_path / "a.nmk", tmp_path / "b.nmk"
-        save_chain(a, chain, durable=True)
-        save_chain(b, chain, durable=False)
-        assert a.read_bytes() == b.read_bytes()
-        assert a.read_bytes() == chain_to_bytes(chain)
+        path = tmp_path / "a.nmk"
+        save_chain(path, chain)
+        assert path.read_bytes() == chain_to_bytes(chain)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import CheckpointChain, FormatError, NumarckConfig, encode_pair
-from repro.io import MultiChainWriter, load_chains, save_chains
+from repro.io import (CheckpointFile, load_chain, load_chains, save_chain,
+                      save_chains)
 from repro.simulations.flash import FlashSimulation
 
 
@@ -76,17 +77,17 @@ class TestSaveLoad:
 
 class TestWriter:
     def test_duplicate_full_rejected(self, tmp_path, rng):
-        with MultiChainWriter.create(tmp_path / "w.nmk") as w:
-            w.write_full("a", rng.normal(size=10))
+        with CheckpointFile.create(tmp_path / "w.nmk") as w:
+            w.write_full(rng.normal(size=10), name="a")
             with pytest.raises(FormatError, match="already"):
-                w.write_full("a", rng.normal(size=10))
+                w.write_full(rng.normal(size=10), name="a")
 
     def test_delta_before_full_rejected(self, tmp_path, rng):
         prev = rng.uniform(1, 2, 50)
         enc = encode_pair(prev, prev * 1.01, NumarckConfig())[0]
-        with MultiChainWriter.create(tmp_path / "w.nmk") as w:
+        with CheckpointFile.create(tmp_path / "w.nmk") as w:
             with pytest.raises(FormatError, match="no full"):
-                w.write_delta("a", enc)
+                w.write_delta(enc, name="a")
 
     def test_interleaved_streaming_write(self, tmp_path, rng):
         """Write the way an in-situ integration would: iteration by
@@ -95,15 +96,15 @@ class TestWriter:
         a = rng.uniform(1, 2, 500)
         b = rng.uniform(5, 6, 500)
         path = tmp_path / "s.nmk"
-        with MultiChainWriter.create(path) as w:
-            w.write_full("a", a)
-            w.write_full("b", b)
+        with CheckpointFile.create(path) as w:
+            w.write_full(a, name="a")
+            w.write_full(b, name="b")
             ca, cb = a, b
             for _ in range(2):
                 na = ca * (1 + rng.normal(0, 0.002, 500))
                 nb = cb * (1 + rng.normal(0, 0.002, 500))
-                w.write_delta("a", encode_pair(ca, na, cfg)[0])
-                w.write_delta("b", encode_pair(cb, nb, cfg)[0])
+                w.write_delta(encode_pair(ca, na, cfg)[0], name="a")
+                w.write_delta(encode_pair(cb, nb, cfg)[0], name="b")
                 ca, cb = na, nb
         loaded = load_chains(path)
         assert len(loaded["a"]) == 3 and len(loaded["b"]) == 3
@@ -111,9 +112,9 @@ class TestWriter:
         assert rel.max() < 5e-3
 
     def test_long_name_rejected(self, tmp_path, rng):
-        with MultiChainWriter.create(tmp_path / "w.nmk") as w:
+        with CheckpointFile.create(tmp_path / "w.nmk") as w:
             with pytest.raises(FormatError, match="too long"):
-                w.write_full("x" * 300, rng.normal(size=10))
+                w.write_full(rng.normal(size=10), name="x" * 300)
 
     def test_corruption_detected(self, tmp_path, rng):
         path = tmp_path / "c.nmk"
@@ -123,3 +124,21 @@ class TestWriter:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_chains(path)
+
+    def test_mixed_named_and_unnamed_rejected(self, tmp_path, rng):
+        path = tmp_path / "mix.nmk"
+        with CheckpointFile.create(path) as w:
+            w.write_full(rng.normal(size=10), name="a")
+            w.write_full(rng.normal(size=10))
+        with pytest.raises(FormatError, match="mixes"):
+            load_chains(path)
+
+    def test_each_loader_rejects_the_other_family(self, tmp_path, rng):
+        chains = _chains(rng, n_vars=1, n_iters=1)
+        multi, single = tmp_path / "m.nmk", tmp_path / "s.nmk"
+        save_chains(multi, chains)
+        save_chain(single, chains["var0"])
+        with pytest.raises(FormatError, match="load_chains"):
+            load_chain(multi)
+        with pytest.raises(FormatError, match="load_chain"):
+            load_chains(single)

@@ -191,7 +191,7 @@ class TestDownload:
         expected = direct(states)
         with CompressionService(config) as svc:
             compress_all(svc, "c", states)
-            monkeypatch.setattr(container, "_write_chain", _no_encode)
+            monkeypatch.setattr(container, "_write_chains", _no_encode)
             monkeypatch.setattr(container, "encode_delta_bytes", _no_encode)
             assert svc.chain_container("c") == expected
 

@@ -94,7 +94,8 @@ DURABILITY_NOTES = """\
 The checkpoint store is crash-consistent by construction:
 
 * **Atomic whole-file saves.** `save_chain` / `save_chains` /
-  `save_streamed` write into a temporary file in the target directory,
+  `save_streamed` (all through `CheckpointFile.save`, with no
+  non-atomic variant) write into a temporary file in the target directory,
   flush, `fsync`, then `os.replace` over the target and `fsync` the
   directory (`repro.io.durable.atomic_write`). A crash at any instant
   leaves either the complete old file or the complete new file.
@@ -133,7 +134,7 @@ Every stage of the pipeline is instrumented through `repro.telemetry`:
 * **Spans.** Hot paths open nested, attributed spans —
   `codec.compress` → `encode` → `encode.fit` →
   `strategy.clustering.fit` → `kmeans.lloyd`, plus `bitpack.pack`,
-  `io.write_record`, `io.save_chain` / `io.load_chain`,
+  `io.write_record`, `io.save_chain` / `io.save_chains` / `io.load_chain`,
   `io.save_streamed` and `restart.persist_incremental` — each carrying
   wall/CPU time and byte counts (`bytes_in` / `bytes_out`).
 * **Metrics.** Counters (`io.bytes_written`, `io.fsync`,
