@@ -8,15 +8,19 @@ Single-variable chains operate on ``.npy`` arrays::
     python -m repro extract chain.nmk --iteration 2 --output state.npy
     python -m repro inspect chain.nmk
 
-Whole checkpoints (every variable in one file) operate on ``.npz``
-archives, mirroring how a simulation writes one multi-variable checkpoint::
+The same commands take whole checkpoints (every variable in one file) as
+``.npz`` archives, mirroring how a simulation writes one multi-variable
+checkpoint; ``extract`` writes ``.npz`` when the file's records are
+named::
 
-    python -m repro init-multi    ckpt.nmk step000.npz --error-bound 1e-3
-    python -m repro append-multi  ckpt.nmk step010.npz
-    python -m repro extract-multi ckpt.nmk -o restart.npz
+    python -m repro init    ckpt.nmk step000.npz --error-bound 1e-3
+    python -m repro append  ckpt.nmk step010.npz
+    python -m repro extract ckpt.nmk -o restart.npz
 
-``append`` reuses the previous delta's parameters when flags are omitted,
-so a chain stays self-consistent without repeating configuration;
+``append`` writes one fsynced record per variable onto the file (first
+cutting a torn tail, or a checkpoint only some variables got) and
+reuses the previous delta's parameters when flags are omitted, so a
+chain stays self-consistent without repeating configuration;
 ``inspect`` understands both file flavours.  When every iteration is
 already on disk, ``compress-chain`` builds the whole chain in one shot --
 with ``--adaptive`` the bin model is reused across iterations (deltas
@@ -44,17 +48,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import (CheckpointChain, EncodedIteration, NumarckConfig,
-                        VariableSet)
+from repro.core import CheckpointChain, EncodedIteration, NumarckConfig
 from repro.core.metrics import compression_ratio_paper
-from repro.io import load_chain, save_chain
+from repro.io.container import (CheckpointFile, ChainWriter, resume_chains,
+                                save_chain, save_chains)
 
 __all__ = ["main"]
-
-
-def _load_array(path: str) -> np.ndarray:
-    arr = np.load(path, allow_pickle=False)
-    return np.asarray(arr, dtype=np.float64)
 
 
 def _config_from_args(args: argparse.Namespace,
@@ -116,11 +115,31 @@ def _output_parent(*, required: bool = False,
 
 
 
+def _load_checkpoint(path: str) -> dict[str | None, np.ndarray]:
+    """``{None: array}`` from a ``.npy`` file; one array per variable, in
+    name order, from a ``.npz`` archive."""
+    loaded = np.load(path, allow_pickle=False)
+    if not isinstance(loaded, np.lib.npyio.NpzFile):
+        return {None: np.asarray(loaded, dtype=np.float64)}
+    with loaded:
+        return {k: np.asarray(loaded[k], dtype=np.float64)
+                for k in sorted(loaded.files)}
+
+
 def _cmd_init(args: argparse.Namespace) -> int:
-    data = _load_array(args.array)
-    chain = CheckpointChain(data, _config_from_args(args))
-    nbytes = save_chain(args.chain, chain)
-    print(f"{args.chain}: full checkpoint, {data.size} points, {nbytes} bytes")
+    checkpoint = _load_checkpoint(args.array)
+    if not checkpoint:
+        print("error: checkpoint archive is empty", file=sys.stderr)
+        return 2
+    config = _config_from_args(args)
+    chains = {v: CheckpointChain(d, config) for v, d in checkpoint.items()}
+    if None in chains:
+        nbytes = save_chain(args.chain, chains[None])
+        what = f"full checkpoint, {checkpoint[None].size} points"
+    else:
+        nbytes = save_chains(args.chain, chains)
+        what = f"{len(chains)} variables ({', '.join(chains)})"
+    print(f"{args.chain}: {what}, {nbytes} bytes")
     return 0
 
 
@@ -130,82 +149,62 @@ def _cmd_append(args: argparse.Namespace) -> int:
         print(f"error: {args.chain} does not exist (run 'init' first)",
               file=sys.stderr)
         return 2
-    existing = load_chain(chain_path)
+    with CheckpointFile.open(chain_path) as f:
+        stored = f.read_chains(strict=False)
+    checkpoint = _load_checkpoint(args.array)
+    if set(stored) - set(checkpoint):
+        want = ("a .npy array" if None in stored
+                else f"a .npz checkpoint of {', '.join(stored)}")
+        print(f"error: {args.chain} takes {want}", file=sys.stderr)
+        return 2
+    # Records are the fulls, then the deltas interleaved by iteration, so
+    # the first depth * len(stored) are whole checkpoints.  A torn record,
+    # or a checkpoint some variables never got, is cut before appending.
+    depth = min(1 + len(deltas) for _full, deltas in stored.values())
+    stored = {v: (full, deltas[:depth - 1])
+              for v, (full, deltas) in stored.items()}
     fallback = None
-    if existing.deltas:
-        last = existing.deltas[-1]
+    deltas = next(iter(stored.values()))[1]
+    if deltas:
+        last = deltas[-1]
         fallback = NumarckConfig(error_bound=last.error_bound,
                                  nbits=last.nbits, strategy=last.strategy)
-    config = _config_from_args(args, fallback)
-    chain = load_chain(chain_path, config)
-    stats = chain.append(_load_array(args.array))
-    nbytes = save_chain(chain_path, chain)
-    print(f"{args.chain}: iteration {len(chain) - 1} appended | "
-          f"gamma={stats.incompressible_ratio:.4f} "
-          f"R={stats.ratio_paper:.2f}% "
-          f"mean_err={stats.mean_error:.2e} | file {nbytes} bytes")
+    chains = resume_chains(stored, _config_from_args(args, fallback))
+    # Every variable encodes before the first record is written, so bad
+    # input leaves the file as it was.
+    stats = [c.append(checkpoint[v]) for v, c in chains.items()]
+    # One fsynced record per variable; the file then holds the bytes
+    # save_chain/save_chains would write for the same chains.
+    writer = ChainWriter(chain_path, depth * len(chains))
+    try:
+        for v, c in chains.items():
+            writer.write_delta(c.deltas[-1], v)
+    finally:
+        writer.close()
+    # Means over the variables of a multi-variable checkpoint.
+    print(f"{args.chain}: iteration {depth} appended | "
+          f"gamma={np.mean([s.incompressible_ratio for s in stats]):.4f} "
+          f"R={np.mean([s.ratio_paper for s in stats]):.2f}% "
+          f"mean_err={np.mean([s.mean_error for s in stats]):.2e} | "
+          f"file {writer.end} bytes")
     return 0
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    chain = load_chain(args.chain)
-    state = chain.reconstruct(args.iteration)
-    np.save(args.output, state)
-    it = args.iteration if args.iteration is not None else len(chain) - 1
-    print(f"{args.output}: iteration {it}, shape {state.shape}")
-    return 0
-
-
-def _load_npz(path: str) -> dict[str, np.ndarray]:
-    with np.load(path, allow_pickle=False) as npz:
-        return {k: np.asarray(npz[k], dtype=np.float64) for k in npz.files}
-
-
-def _cmd_init_multi(args: argparse.Namespace) -> int:
-    checkpoint = _load_npz(args.checkpoint)
-    if not checkpoint:
-        print("error: checkpoint archive is empty", file=sys.stderr)
-        return 2
-    vs = VariableSet(tuple(sorted(checkpoint)), _config_from_args(args))
-    vs.record(checkpoint)
-    nbytes = vs.save(args.chain)
-    print(f"{args.chain}: {len(checkpoint)} variables "
-          f"({', '.join(sorted(checkpoint))}), {nbytes} bytes")
-    return 0
-
-
-def _cmd_append_multi(args: argparse.Namespace) -> int:
-    chain_path = Path(args.chain)
-    if not chain_path.exists():
-        print(f"error: {args.chain} does not exist (run 'init-multi' first)",
-              file=sys.stderr)
-        return 2
-    existing = VariableSet.load(chain_path)
-    fallback = None
-    any_chain = existing.chain(existing.variables[0])
-    if any_chain.deltas:
-        last = any_chain.deltas[-1]
-        fallback = NumarckConfig(error_bound=last.error_bound,
-                                 nbits=last.nbits, strategy=last.strategy)
-    config = _config_from_args(args, fallback)
-    vs = VariableSet.load(chain_path, config)
-    stats = vs.record(_load_npz(args.checkpoint))
-    nbytes = vs.save(chain_path)
-    mean_gamma = np.mean([s.incompressible_ratio for s in stats.values()])
-    mean_ratio = np.mean([s.ratio_paper for s in stats.values()])
-    print(f"{args.chain}: iteration {vs.n_checkpoints - 1} appended | "
-          f"mean gamma={mean_gamma:.4f} mean R={mean_ratio:.2f}% | "
-          f"file {nbytes} bytes")
-    return 0
-
-
-def _cmd_extract_multi(args: argparse.Namespace) -> int:
-    vs = VariableSet.load(args.chain)
-    state = vs.reconstruct(args.iteration)
-    np.savez(args.output, **state)
-    it = args.iteration if args.iteration is not None else vs.n_checkpoints - 1
-    print(f"{args.output}: iteration {it}, "
-          f"{len(state)} variables ({', '.join(sorted(state))})")
+    with CheckpointFile.open(args.chain) as f:
+        chains = resume_chains(f.read_chains())
+    # A multi-variable file torn mid-checkpoint ends at the last
+    # iteration every variable holds.
+    it = (args.iteration if args.iteration is not None
+          else min(len(c) for c in chains.values()) - 1)
+    state = {v: c.reconstruct(it) for v, c in chains.items()}
+    if None in state:
+        np.save(args.output, state[None])
+        print(f"{args.output}: iteration {it}, shape {state[None].shape}")
+    else:
+        np.savez(args.output, **state)
+        print(f"{args.output}: iteration {it}, "
+              f"{len(state)} variables ({', '.join(sorted(state))})")
     return 0
 
 
@@ -213,7 +212,8 @@ def _cmd_compress_chain(args: argparse.Namespace) -> int:
     from repro.codec import Codec
 
     codec = Codec(config=_config_from_args(args))
-    chain = codec.compress_chain(_load_array(p) for p in args.arrays)
+    chain = codec.compress_chain(_load_checkpoint(p)[None]
+                                 for p in args.arrays)
     nbytes = save_chain(args.chain, chain)
     line = (f"{args.chain}: {len(chain)} iterations "
             f"(1 full + {len(chain.deltas)} deltas), {nbytes:,} bytes")
@@ -325,7 +325,6 @@ def _describe_chain(name: str, full: np.ndarray,
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.errors import FormatError
-    from repro.io.container import CheckpointFile
 
     with CheckpointFile.open(args.file) as f:
         index = 0
@@ -599,8 +598,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    from repro.io import CheckpointFile
-
     with CheckpointFile.open(args.chain) as f:
         chains = f.read_chains()
     if None in chains:
@@ -628,42 +625,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("init", parents=[cfg],
                        help="create a chain from a full checkpoint")
     p.add_argument("chain", help="output .nmk chain file")
-    p.add_argument("array", help="input .npy array")
+    p.add_argument("array", help="input .npy array, or .npz archive (one "
+                                 "array per variable) for a multi-variable "
+                                 "chain")
     p.set_defaults(func=_cmd_init)
 
     p = sub.add_parser("append", parents=[cfg],
                        help="append one iteration to a chain")
     p.add_argument("chain", help=".nmk chain file")
-    p.add_argument("array", help="input .npy array")
+    p.add_argument("array", help="input .npy array (.npz archive for a "
+                                 "multi-variable chain)")
     p.set_defaults(func=_cmd_append)
 
-    p = sub.add_parser("extract", help="decode an iteration to .npy",
+    p = sub.add_parser("extract", help="decode an iteration to .npy (.npz "
+                                       "for a multi-variable chain)",
                        parents=[_output_parent(required=True,
-                                               help_text="output .npy file")])
+                                               help_text="output .npy or "
+                                                         ".npz file")])
     p.add_argument("chain", help=".nmk chain file")
     p.add_argument("--iteration", "-i", type=int, default=None,
                    help="iteration index (default: latest)")
     p.set_defaults(func=_cmd_extract)
-
-    p = sub.add_parser("init-multi", parents=[cfg],
-                       help="create a multi-variable chain from a .npz checkpoint")
-    p.add_argument("chain", help="output .nmk file")
-    p.add_argument("checkpoint", help="input .npz archive (one array per variable)")
-    p.set_defaults(func=_cmd_init_multi)
-
-    p = sub.add_parser("append-multi", parents=[cfg],
-                       help="append one .npz checkpoint to a multi-variable chain")
-    p.add_argument("chain", help=".nmk file")
-    p.add_argument("checkpoint", help="input .npz archive")
-    p.set_defaults(func=_cmd_append_multi)
-
-    p = sub.add_parser("extract-multi",
-                       help="decode a multi-variable iteration to .npz",
-                       parents=[_output_parent(required=True,
-                                               help_text="output .npz file")])
-    p.add_argument("chain", help=".nmk file")
-    p.add_argument("--iteration", "-i", type=int, default=None)
-    p.set_defaults(func=_cmd_extract_multi)
 
     p = sub.add_parser("compress-chain", parents=[cfg],
                        help="build a whole chain from .npy iterations in "

@@ -39,6 +39,7 @@ Durability model
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import struct
@@ -65,9 +66,9 @@ from repro.io.format import (
 )
 from repro.telemetry.tracer import get_telemetry
 
-__all__ = ["CheckpointFile", "save_chain", "load_chain", "save_chains",
-           "load_chains", "salvage_truncate", "chain_to_bytes",
-           "chain_from_bytes", "WriteHook"]
+__all__ = ["CheckpointFile", "ChainWriter", "save_chain", "load_chain",
+           "save_chains", "load_chains", "resume_chains", "salvage_truncate",
+           "chain_to_bytes", "chain_from_bytes", "WriteHook"]
 
 TAG_FULL = b"FULL"
 TAG_DELTA = b"DELT"
@@ -264,6 +265,8 @@ class CheckpointFile:
         #: :class:`SalvageReport` describing what ``append()`` found and
         #: cut when it opened the file; ``None`` for other constructors.
         self.salvage: SalvageReport | None = None
+        #: a failed write could not roll back: bytes may follow ``end``.
+        self.torn = False
         #: per chain (keyed by variable name, ``None`` for a single chain):
         #: the table of its last delta written/seen on this handle -- the
         #: dedup anchor for table-reference records.  A name is a key
@@ -277,18 +280,17 @@ class CheckpointFile:
                write_hook: WriteHook | None = None,
                sync: bool = False) -> "CheckpointFile":
         """Create/truncate a checkpoint file and write the header."""
-        fh = open(path, "wb")
+        fh = open(path, "w+b")
         fh.write(MAGIC + struct.pack("<H", FORMAT_VERSION))
         return cls(fh, "w", write_hook=write_hook, sync=sync)
 
     @classmethod
-    def from_handle(cls, fh: BinaryIO, *,
-                    write_hook: WriteHook | None = None) -> "CheckpointFile":
+    def from_handle(cls, fh: BinaryIO) -> "CheckpointFile":
         """Start a checkpoint stream on an already-open writable handle
         (e.g. inside :func:`~repro.io.durable.atomic_write`); the caller
         keeps ownership of the handle."""
         fh.write(MAGIC + struct.pack("<H", FORMAT_VERSION))
-        return cls(fh, "w", write_hook=write_hook, owns_handle=False)
+        return cls(fh, "w", owns_handle=False)
 
     @classmethod
     def save(cls, path: str | Path,
@@ -428,7 +430,7 @@ class CheckpointFile:
                     self._fh.truncate(start)
                     self._fh.seek(start)
                 except OSError:
-                    pass
+                    self.torn = True
                 raise
         tel.metrics.counter("io.bytes_written").inc(len(data))
         self.n_records += 1
@@ -443,7 +445,9 @@ class CheckpointFile:
         """Drop every record after the first ``n`` (writer mode only).
 
         Used when resuming an append on a file that holds more records
-        than the adopted in-memory chain trusts.
+        than the adopted in-memory chain trusts.  The kept records are
+        re-read so every chain's table-dedup anchor is that of its last
+        kept delta, as if the cut records had never been written.
         """
         if self._mode != "w":
             raise FormatError("file opened for reading")
@@ -453,15 +457,13 @@ class CheckpointFile:
             return
         end = self._record_ends[n]
         self._fh.truncate(end)
-        self._fh.seek(end)
         if self._sync:
             self._fh.flush()
             os.fsync(self._fh.fileno())
-        del self._record_ends[n + 1:]
-        self.n_records = n
-        # The dedup anchors may have been cut away; writing the next delta
-        # with a full table is always safe.
-        self._anchors = dict.fromkeys(self._anchors)
+        self.n_records, self._record_ends, self._anchors = 0, [HEADER_SIZE], {}
+        self._fh.seek(HEADER_SIZE)
+        for tag, payload in _iter_frames(self._fh):
+            self._found(tag, payload)
 
     def write_full(self, data: np.ndarray, name: str | None = None) -> None:
         """Append an exact full-checkpoint record (of variable ``name``)."""
@@ -560,6 +562,79 @@ class CheckpointFile:
         return chains
 
 
+class ChainWriter:
+    """The held append writer of one chain file, or of a buffer
+    (``path=None``, never closed).
+
+    ``committed`` counts the file's records the caller's chains share.
+    With ``0`` the first write creates the file; otherwise it opens it
+    with :meth:`CheckpointFile.append` and cuts it back to ``committed``
+    records (a file missing or shorter raises).  Each write commits one
+    record.  A transient ``OSError`` that rolled back keeps the writer for
+    the retry; any other failure closes it, so the next write re-opens and
+    cuts again, and a failed first record leaves no file.  ``end`` is the
+    committed container length.
+    """
+
+    def __init__(self, path: str | Path | None, committed: int = 0, *,
+                 end: int = HEADER_SIZE,
+                 write_hook: WriteHook | None = None,
+                 sync: bool = True) -> None:
+        self.path = Path(path) if path is not None else None
+        self.committed = committed
+        self.end = end
+        self._opts = {"write_hook": write_hook, "sync": sync}
+        self._buf = io.BytesIO() if path is None else None
+        self._writer = (CheckpointFile.from_handle(self._buf)
+                        if self._buf is not None else None)
+
+    def write_full(self, data: np.ndarray, name: str | None = None) -> None:
+        """Commit a full record, as :meth:`CheckpointFile.write_full`."""
+        self._write(lambda w: w.write_full(data, name))
+
+    def write_delta(self, encoded: EncodedIteration,
+                    name: str | None = None) -> None:
+        """Commit a delta record, as :meth:`CheckpointFile.write_delta`."""
+        self._write(lambda w: w.write_delta(encoded, name))
+
+    def _write(self, write: Callable[[CheckpointFile], None]) -> None:
+        try:
+            if self._writer is None and self.committed == 0:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._writer = CheckpointFile.create(self.path, **self._opts)
+            elif self._writer is None:
+                self._writer = CheckpointFile.append(self.path, **self._opts)
+                self._writer.truncate_records(self.committed)
+            write(self._writer)
+        except BaseException as exc:
+            w = self._writer
+            if self._buf is None and not (
+                    isinstance(exc, OSError) and self.committed and w
+                    and not w.torn and w.n_records == self.committed):
+                self.close()
+                if self.committed == 0:
+                    with contextlib.suppress(OSError):
+                        self.path.unlink(missing_ok=True)
+            raise
+        self.committed += 1
+        self.end = self._writer.end
+
+    def container_bytes(self) -> bytes:
+        """The committed container: never a torn or rolled-back record."""
+        if self._buf is not None:
+            return self._buf.getvalue()[:self.end]
+        with open(self.path, "rb") as fh:
+            return fh.read(self.end)
+
+    def close(self) -> None:
+        """Close a file's writer (best effort: its records are already
+        written); the next write re-opens the file."""
+        if self._buf is None and self._writer is not None:
+            writer, self._writer = self._writer, None
+            with contextlib.suppress(OSError):
+                writer.close()
+
+
 def _single_chain(chains: Chains, source: str | Path
                   ) -> tuple[np.ndarray, list[EncodedIteration]]:
     if None not in chains:
@@ -633,10 +708,9 @@ def chain_from_bytes(data: bytes,
     """
     with get_telemetry().span("io.chain_from_bytes",
                               bytes_in=len(data)) as sp:
-        full, deltas = _single_chain(
-            CheckpointFile.from_bytes(data).read_chains(), "<bytes>")
-        sp.set(records=1 + len(deltas))
-    return _rebuild_chain(full, deltas, config)
+        chains = CheckpointFile.from_bytes(data).read_chains()
+        sp.set(records=1 + len(_single_chain(chains, "<bytes>")[1]))
+    return resume_chains(chains, config)[None]
 
 
 def salvage_truncate(path: str | Path) -> SalvageReport:
@@ -674,17 +748,24 @@ def save_chains(path: str | Path, chains: dict[str, CheckpointChain]) -> int:
                                records=sum(len(c) for c in chains.values()))
 
 
-def _rebuild_chain(full: np.ndarray, deltas: list[EncodedIteration],
-                   config: NumarckConfig | None) -> CheckpointChain:
-    chain = CheckpointChain.resume(full, deltas, config)
-    # Resume model reuse across a save/load cycle: prime the adaptive
-    # cache with the last stored table (conservative zero baseline).
-    adaptive = chain._adaptive  # noqa: SLF001
-    if adaptive is not None and deltas and deltas[-1].representatives.size:
+def resume_chains(chains: Chains, config: NumarckConfig | None = None
+                  ) -> dict[str | None, CheckpointChain]:
+    """One :class:`CheckpointChain` per entry of
+    :meth:`CheckpointFile.read_chains`, ready to append to.
+
+    A single chain's adaptive model is primed with its last stored table
+    (conservative zero baseline), so model reuse resumes across a
+    save/load cycle; the chains of a multi-variable file refit first.
+    """
+    out = {name: CheckpointChain.resume(full, deltas, config)
+           for name, (full, deltas) in chains.items()}
+    deltas = chains[None][1] if None in chains else []
+    adaptive = out[None]._adaptive if deltas else None  # noqa: SLF001
+    if adaptive is not None and deltas[-1].representatives.size:
         from repro.core.strategies.base import BinModel
 
         adaptive.seed(BinModel(deltas[-1].representatives))
-    return chain
+    return out
 
 
 def load_chain(path: str | Path,
@@ -705,11 +786,11 @@ def load_chain(path: str | Path,
     """
     with get_telemetry().span("io.load_chain", recover=recover) as sp:
         chains, report = _read_file(path, recover)
-        full, deltas = _single_chain(chains, path)
+        deltas = _single_chain(chains, path)[1]
         nbytes = Path(path).stat().st_size
         sp.set(records=1 + len(deltas),
                bytes_in=nbytes - (report.bytes_truncated if report else 0))
-        chain = _rebuild_chain(full, deltas, config)
+        chain = resume_chains(chains, config)[None]
     return chain if report is None else (chain, report)
 
 
@@ -730,6 +811,5 @@ def load_chains(path: str | Path,
     if None in chains:
         raise FormatError(f"{path}: single-chain file; read it with "
                           f"load_chain")
-    out = {name: CheckpointChain.resume(full, deltas, config)
-           for name, (full, deltas) in chains.items()}
+    out = resume_chains(chains, config)
     return out if report is None else (out, report)

@@ -40,16 +40,14 @@ itself (the recovery coordinator) is always a loud
 ``on_rank_failure="raise"``.
 
 Failure detection is timeout-based and therefore *unreliable* in the
-theoretical sense: under extreme load a live rank can be suspected
-falsely.  Two consequences to be aware of.  A falsely-suspected rank
-that later needs data from the survivors fails loudly (it is skipped,
-times out, and raises).  And if the false suspicion strikes on the very
-last message of the encode, the suspected rank may complete cleanly
-while the root conservatively reports it lost -- views of ``degraded``/
-``lost_ranks`` can then differ between ranks, but every completed
-encode still honors the per-point bound.  Size the communicator
-``timeout`` above the longest compute phase to make false positives
-rare.
+theoretical sense: a live rank that stays silent past the communicator
+``timeout`` (say, a compute phase longer than it) is suspected falsely.
+A falsely-suspected rank that later needs data from the survivors fails
+loudly (it is skipped, times out, and raises).  Size the ``timeout``
+above the longest compute phase to make false positives rare.
+``lost_ranks`` are the ranks missing from the global totals, read from
+a membership vector in the final allreduce, so a rank that contributed
+and then exited is never reported lost.
 """
 
 from __future__ import annotations
@@ -270,13 +268,17 @@ def parallel_encode(
             table = BinModel(reps) if reps.size else None
             block = encode_block(ratios, forced, curr, table, cfg, cand_idx)
         encoded = block.as_iteration(curr.shape, cfg, model_reused=reused)
+        # [n_points, n_incompressible, one-hot(rank)]: the membership
+        # entries that sum to 0 name the ranks missing from the totals.
+        local = np.zeros(2 + comm.size, dtype=np.int64)
+        local[:2] = encoded.n_points, encoded.n_incompressible
+        local[2 + comm.rank] = 1
         with comm.phase("insitu.stats"):
-            n_points_global = _allreduce(encoded.n_points)
-            n_incompressible_global = _allreduce(encoded.n_incompressible)
-        lost = comm.lost_ranks
+            totals = _allreduce(local)
+        lost = [int(r) for r in np.flatnonzero(totals[2:] == 0)]
         stats = GlobalStats(
-            n_points=n_points_global,
-            n_incompressible=n_incompressible_global,
+            n_points=int(totals[0]),
+            n_incompressible=int(totals[1]),
             n_bins=int(np.asarray(reps).size),
             degraded=bool(lost),
             lost_ranks=tuple(lost),

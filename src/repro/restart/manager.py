@@ -12,7 +12,7 @@ from repro.core.checkpoint import CheckpointChain
 from repro.errors import StateError
 from repro.core.config import NumarckConfig
 from repro.core.varset import VariableSet
-from repro.io.container import CheckpointFile, WriteHook
+from repro.io.container import ChainWriter, WriteHook
 from repro.io.durable import retry_io
 from repro.simulations.base import Simulation
 from repro.telemetry.tracer import get_telemetry
@@ -29,17 +29,18 @@ class RestartManager(VariableSet):
     checkpoint ``i`` (0 = the initial full checkpoint).  ``save``/``load``
     persist all chains in one container file;
     ``persist_incremental(path_fn)`` instead appends only the records not
-    yet on disk -- O(1) per checkpoint -- with per-record ``fsync``.
+    yet on disk -- O(1) per checkpoint -- with per-record ``fsync``,
+    through one :class:`~repro.io.container.ChainWriter` per variable.
     """
 
     def __init__(self, variables: tuple[str, ...],
                  config: NumarckConfig | None = None) -> None:
         super().__init__(variables, config)
-        #: open per-variable append writers (see ``persist_incremental``).
-        self._writers: dict[str, CheckpointFile] = {}
-        #: records per variable that existing files are trusted to share
-        #: with the in-memory chains (set by ``from_chains``).
-        self._adopted: dict[str, int] = {}
+        #: per-variable chain-file writers (see ``persist_incremental``).
+        self._writers: dict[str, ChainWriter] = {}
+        #: records per variable the files share with the chains while no
+        #: writer is held (adopted, or committed before ``close_writers``).
+        self._committed: dict[str, int] = {}
 
     @classmethod
     def from_chains(cls, chains: dict[str, CheckpointChain],
@@ -48,15 +49,16 @@ class RestartManager(VariableSet):
         possibly truncated, after a crash).
 
         The adopted chain lengths mark how many on-disk records per
-        variable are trusted: a later ``persist_incremental`` cuts any
+        variable are trusted: a later ``persist_incremental`` cuts each
         file back to that point before appending, so records the restarted
-        run re-computes never mix with stale ones.
+        run re-computes never mix with stale ones.  A file that is missing
+        or holds fewer records raises.
         """
         if not chains:
             raise ValueError("need at least one chain to adopt")
         manager = cls(tuple(chains), config)
         manager._chains = dict(chains)
-        manager._adopted = {v: len(c) for v, c in chains.items()}
+        manager._committed = {v: len(c) for v, c in chains.items()}
         return manager
 
     def restart_state(self, iteration: int | None = None
@@ -71,18 +73,15 @@ class RestartManager(VariableSet):
                             sync: bool = True) -> int:
         """Append every not-yet-persisted record to per-variable files.
 
-        ``path_fn`` maps a variable name to its chain file.  The first
-        call per variable opens (or creates) the file -- truncating any
-        torn tail and any records beyond what :meth:`from_chains` adopted
-        -- and later calls reuse the open writer, so each new checkpoint
-        costs exactly one appended, individually ``fsync``\\ ed record per
-        variable instead of a full rewrite.  Transient ``OSError``\\ s are
-        retried with backoff (a failed write rolls back to the record
-        boundary first).  Returns the number of records appended.
-
-        On any other failure the writers are closed: a simulated or real
-        crash mid-append leaves at most one torn trailing record per file,
-        which the salvage path (``recover="tail"``) recovers from.
+        ``path_fn`` maps a variable name to its chain file.  A fresh
+        manager's first call creates the files, replacing stale ones; a
+        later writer re-opens them, cutting any torn tail and any record
+        beyond what the manager committed or :meth:`from_chains` adopted.
+        Each new checkpoint then costs one appended, ``fsync``\\ ed record
+        per variable.  Transient ``OSError``\\ s are retried with backoff;
+        on any other failure the writers are closed, and the next call
+        writes only the records still missing.  Returns the number of
+        records appended.
         """
         if self._chains is None:
             raise StateError("no checkpoints recorded yet")
@@ -92,52 +91,29 @@ class RestartManager(VariableSet):
             try:
                 for v in self.variables:
                     chain = self._chains[v]
-                    writer = self._writers.get(v)
-                    if writer is None:
-                        writer = self._open_writer(v, path_fn, write_hook, sync)
-                        self._writers[v] = writer
-                    if writer.n_records == 0:
-                        full = chain.full_checkpoint
-                        retry_io(lambda w=writer, d=full: w.write_full(d))
-                        appended += 1
-                    target = 1 + len(chain.deltas)
-                    while writer.n_records < target:
-                        enc = chain.deltas[writer.n_records - 1]
-                        retry_io(lambda w=writer, e=enc: w.write_delta(e))
+                    w = self._writers.get(v)
+                    if w is None:
+                        w = self._writers[v] = ChainWriter(
+                            path_fn(v), self._committed.get(v, 0),
+                            write_hook=write_hook, sync=sync)
+                    while w.committed < len(chain):
+                        retry_io(lambda: w.write_full(chain.full_checkpoint)
+                                 if w.committed == 0 else
+                                 w.write_delta(chain.deltas[w.committed - 1]))
                         appended += 1
             except BaseException:
-                # The writer that failed may hold a torn record; every handle
-                # is closed so recovery re-scans the files from scratch.
                 self.close_writers()
                 raise
             sp.set(records_appended=appended)
         return appended
 
-    def _open_writer(self, variable: str,
-                     path_fn: Callable[[str], str | Path],
-                     write_hook: WriteHook | None,
-                     sync: bool) -> CheckpointFile:
-        path = Path(path_fn(variable))
-        trusted = self._adopted.get(variable, 0)
-        if trusted and path.exists():
-            writer = CheckpointFile.append(path, write_hook=write_hook,
-                                           sync=sync)
-            if writer.n_records > trusted:
-                writer.truncate_records(trusted)
-            return writer
-        # Fresh recording (or a vanished file): start over atomically so a
-        # stale file from an earlier run cannot leak records into this one.
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return CheckpointFile.create(path, write_hook=write_hook, sync=sync)
-
     def close_writers(self) -> None:
-        """Close any writers held open by ``persist_incremental``."""
+        """Close the files ``persist_incremental`` holds open; its next
+        call re-opens them and appends."""
         writers, self._writers = self._writers, {}
-        for writer in writers.values():
-            try:
-                writer.close()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
+        for v, w in writers.items():
+            self._committed[v] = w.committed
+            w.close()
 
 
 @dataclass

@@ -8,26 +8,20 @@ every later job appends an encoded delta.  Each chain wraps one live
 *jobs* exactly as it is carried across iterations in a single process --
 the model hint rides on the chain, not on the request.
 
-Each chain holds one open :class:`~repro.io.container.CheckpointFile`
-writer -- over its file with a ``store_dir``, else over a buffer -- so a
-record is serialised once, at append, and an append costs the same at
-any chain length.  A download serves the committed container prefix, up
-to the last record a job wrote: never a re-encode, a torn tail or a
-record whose rollback failed.  With a ``store_dir`` each record is
-flushed and fsynced before its job is acknowledged, and start-up
-re-opens stored chains with ``recover="tail"``: a crash costs the torn
-record, never the chain.  A recovered chain decodes nothing; its first
-delta opens the writer with ``CheckpointFile.append``, the one scan per
-server lifetime, which cuts the torn bytes.  A failed persist closes the
-writer (the next job scans again, the
-:meth:`~repro.restart.manager.RestartManager.persist_incremental` rule),
-and the chain takes a state only once its record is written.
+Each chain holds one :class:`~repro.io.container.ChainWriter` -- over
+its file with a ``store_dir``, else over a buffer -- so a record is
+serialised once, at append, and an append costs the same at any chain
+length.  A download serves the writer's committed container: never a
+re-encode, a torn tail or a record whose rollback failed.  With a
+``store_dir`` each record is fsynced before its job is acknowledged, and
+start-up re-opens stored chains with ``recover="tail"``: a crash costs
+the torn record, never the chain.  A recovered chain decodes nothing;
+its first delta re-opens the file, the one scan per server lifetime.
+The chain takes a state only once its record is written.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import re
 import threading
 from pathlib import Path
@@ -37,9 +31,8 @@ import numpy as np
 
 from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
-from repro.core.encoder import EncodedIteration
 from repro.errors import ChainNotFoundError, ConfigError, StateError
-from repro.io.container import CheckpointFile, load_chain
+from repro.io.container import ChainWriter, load_chain
 from repro.telemetry.tracer import get_telemetry
 
 __all__ = ["Chain", "ChainRegistry"]
@@ -70,11 +63,7 @@ class Chain:
         self.path = path
         self.lock = threading.RLock()
         self.chain: CheckpointChain | None = None
-        self._writer: CheckpointFile | None = None
-        #: the container of a chain without a path.
-        self._buf: io.BytesIO | None = None
-        #: committed container length: the end of the last written record.
-        self._end = 0
+        self._writer = ChainWriter(path)
         self.jobs_accepted = 0
         self.bytes_in = 0
 
@@ -89,7 +78,9 @@ class Chain:
                    records_dropped=report.records_dropped)
         chain = cls(chain_id, config, path)
         chain.chain = loaded
-        chain._end = path.stat().st_size - report.bytes_truncated
+        chain._writer = ChainWriter(
+            path, len(loaded),
+            end=path.stat().st_size - report.bytes_truncated)
         return chain
 
     # -- mutation (caller holds no lock; we take our own) -------------------
@@ -104,14 +95,13 @@ class Chain:
                 "service.chain.append", chain=self.id,
                 bytes_in=arr.nbytes) as sp:
             if self.chain is None:
-                self._write_full(arr)
+                self._writer.write_full(arr)
                 self.chain = CheckpointChain(arr, self.config)
                 kind, reused = "full", False
             else:
-                self.chain.append(arr, persist=self._write_delta)
+                self.chain.append(arr, persist=self._writer.write_delta)
                 kind = "delta"
                 reused = bool(self.chain.deltas[-1].model_reused)
-            self._end = self._writer.end
             self.jobs_accepted += 1
             self.bytes_in += arr.nbytes
             sp.set(record=kind, model_reused=reused,
@@ -120,47 +110,11 @@ class Chain:
                     "iteration": len(self.chain) - 1,
                     "model_reused": reused}
 
-    def _write_full(self, data: np.ndarray) -> None:
-        """Start the chain's container and keep its writer open."""
-        try:
-            if self.path is None:
-                self._buf = io.BytesIO()
-                self._writer = CheckpointFile.from_handle(self._buf)
-            else:
-                self._writer = CheckpointFile.create(self.path, sync=True)
-            self._writer.write_full(data)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                self.close()
-            if self.path is not None:
-                # No FULL record: leave no header-only file to recover.
-                with contextlib.suppress(OSError):
-                    self.path.unlink(missing_ok=True)
-            raise
-
-    def _write_delta(self, encoded: EncodedIteration) -> None:
-        """Append one delta through the held writer.  A chain recovered at
-        start-up opens its writer here: its one scan of the file."""
-        try:
-            if self._writer is None:
-                self._writer = CheckpointFile.append(self.path)
-                # Cut a record a failed rollback left behind; a file
-                # shorter than the chain raises.
-                self._writer.truncate_records(len(self.chain))
-            self._writer.write_delta(encoded)
-        except BaseException:
-            # The handle may sit past a torn record; the next job scans.
-            with contextlib.suppress(OSError):
-                self.close()
-            raise
-
     def close(self) -> None:
         """Close a durable chain's writer; the next append re-opens the
         file.  A buffer's writer stays: it holds the only container."""
         with self.lock:
-            if self.path is not None and self._writer is not None:
-                writer, self._writer = self._writer, None
-                writer.close()
+            self._writer.close()
 
     def container_bytes(self) -> bytes:
         """The committed container prefix, as stored: byte-identical to
@@ -168,10 +122,7 @@ class Chain:
         with self.lock:
             if self.chain is None:
                 raise StateError(f"chain {self.id!r} holds no checkpoints yet")
-            if self._buf is not None:
-                return self._buf.getvalue()[:self._end]
-            with open(self.path, "rb") as fh:
-                return fh.read(self._end)
+            return self._writer.container_bytes()
 
     def stats(self) -> dict[str, Any]:
         with self.lock:

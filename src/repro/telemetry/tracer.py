@@ -68,7 +68,9 @@ class Span:
 
     Attributes are free-form; byte counts use the conventional keys
     ``bytes_in`` / ``bytes_out`` so :mod:`repro.telemetry.report` can
-    aggregate throughput without knowing every stage.
+    aggregate throughput without knowing every stage.  ``cpu_s`` is the
+    CPU time of the span's own thread, so a server's spans do not count
+    their neighbours' work.
     """
 
     __slots__ = ("name", "span_id", "parent_id", "depth", "attrs",
@@ -110,12 +112,12 @@ class Span:
             self._mem_start = current
             self._mem_peak = current
         self.t_start = time.perf_counter()
-        self._cpu_start = time.process_time()
+        self._cpu_start = time.thread_time()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.wall_s = time.perf_counter() - self.t_start
-        self.cpu_s = time.process_time() - self._cpu_start
+        self.cpu_s = time.thread_time() - self._cpu_start
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
         if self._tel._memory:

@@ -9,6 +9,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import CheckpointChain, NumarckConfig
+from repro.io import (chain_to_bytes, load_chain, load_chains, save_chain,
+                      save_chains)
+from repro.telemetry import Telemetry, use
 
 
 @pytest.fixture
@@ -73,6 +77,121 @@ class TestWorkflow:
         assert "2 iterations" in out
         assert "delta 1" in out
         assert "gamma=" in out
+
+
+class TestAppendInPlace:
+    """``append`` adds one record per variable to the file, which then
+    holds the bytes a whole-file save of the same chains would: the
+    chains that loading the file, appending and saving produced."""
+
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    @pytest.mark.parametrize("names", [(None,), ("dens", "pres")],
+                             ids=["single", "multi"])
+    def test_one_record_per_variable(self, tmp_path, rng, names, adaptive):
+        flags = ["-E", "1e-3", "--nbits", "8", "--strategy", "equal_width"]
+        flags += ["--adaptive"] if adaptive else []
+        cfg = NumarckConfig(error_bound=1e-3, nbits=8,
+                            strategy="equal_width", adaptive=adaptive)
+        state = {v: rng.uniform(1.0, 2.0, 3000) for v in names}
+        inputs = []
+        for i in range(4):
+            path = tmp_path / f"step{i}.{'npy' if names == (None,) else 'npz'}"
+            if names == (None,):
+                np.save(path, state[None])
+            else:
+                np.savez(path, **state)
+            inputs.append(str(path))
+            state = {v: a * (1 + rng.normal(0, 2e-3, a.size))
+                     for v, a in state.items()}
+
+        chain = tmp_path / "c.nmk"
+        assert main(["init", str(chain), inputs[0], *flags]) == 0
+        for step in inputs[1:]:
+            tel = Telemetry(keep_spans=True)
+            with use(tel):
+                assert main(["append", str(chain), step, *flags]) == 0
+            writes = [s for s in tel.spans if s.name == "io.write_record"]
+            assert len(writes) == len(names)
+
+        # The same steps through a whole-file load, append and save.
+        ref = tmp_path / "ref.nmk"
+        if names == (None,):
+            save_chain(ref, CheckpointChain(np.load(inputs[0]), cfg))
+            for step in inputs[1:]:
+                chains = load_chain(ref, cfg)
+                chains.append(np.load(step))
+                save_chain(ref, chains)
+        else:
+            with np.load(inputs[0]) as first:
+                save_chains(ref, {v: CheckpointChain(first[v], cfg)
+                                  for v in names})
+            for step in inputs[1:]:
+                chains = load_chains(ref, cfg)
+                with np.load(step) as arrays:
+                    for v in names:
+                        chains[v].append(arrays[v])
+                save_chains(ref, chains)
+        assert chain.read_bytes() == ref.read_bytes()
+        if adaptive and names == (None,):
+            # A reopened single chain reuses its stored table, so the
+            # appended records include table references.
+            assert any(d.model_reused for d in load_chain(chain).deltas)
+
+    def test_append_cuts_incomplete_checkpoint(self, tmp_path, rng):
+        # Variable ``a`` holds one more iteration than ``b``, as a crash
+        # between the two records of an append leaves it: the next append
+        # cuts that record and writes a whole checkpoint.
+        a, b = rng.uniform(1.0, 2.0, (2, 500))
+        chains = {v: CheckpointChain(x) for v, x in (("a", a), ("b", b))}
+        save_chains(tmp_path / "ref.nmk", chains)
+        chains["a"].append(a * 1.001)
+        save_chains(tmp_path / "c.nmk", chains)
+        np.savez(tmp_path / "s.npz", a=a * 1.002, b=b * 1.002)
+        assert main(["append", str(tmp_path / "c.nmk"),
+                     str(tmp_path / "s.npz")]) == 0
+        assert main(["append", str(tmp_path / "ref.nmk"),
+                     str(tmp_path / "s.npz")]) == 0
+        assert (tmp_path / "c.nmk").read_bytes() \
+            == (tmp_path / "ref.nmk").read_bytes()
+        assert [len(c) for c in load_chains(tmp_path / "c.nmk").values()] \
+            == [2, 2]
+
+    def test_bad_variable_leaves_file_appendable(self, tmp_path, rng,
+                                                 capsys):
+        a, b = rng.uniform(1.0, 2.0, (2, 500))
+        chain = tmp_path / "c.nmk"
+        np.savez(tmp_path / "s0.npz", a=a, b=b)
+        np.savez(tmp_path / "bad.npz", a=a * 1.001, b=b[:400])
+        np.savez(tmp_path / "s1.npz", a=a * 1.001, b=b * 1.001)
+        assert main(["init", str(chain), str(tmp_path / "s0.npz")]) == 0
+        before = chain.read_bytes()
+        assert main(["append", str(chain), str(tmp_path / "bad.npz")]) == 1
+        assert "shape" in capsys.readouterr().err
+        assert chain.read_bytes() == before
+        assert main(["append", str(chain), str(tmp_path / "s1.npz")]) == 0
+        assert [len(c) for c in load_chains(chain).values()] == [2, 2]
+
+    def test_append_after_torn_tail(self, tmp_path, arrays):
+        # A crash mid-append tears the last record; the next append cuts
+        # it without a separate repair.
+        chain, ref = tmp_path / "c.nmk", tmp_path / "ref.nmk"
+        for path in (chain, ref):
+            assert main(["init", str(path), arrays[0]]) == 0
+            assert main(["append", str(path), arrays[1]]) == 0
+        chain.write_bytes(chain.read_bytes()[:-9])
+        assert main(["append", str(chain), arrays[2]]) == 0
+        expected = load_chain(tmp_path / "ref.nmk")
+        expected.truncate(1)
+        expected.append(np.load(arrays[2]))
+        assert chain.read_bytes() == chain_to_bytes(expected)
+
+    def test_append_rejects_other_flavour(self, tmp_path, arrays, capsys):
+        chain = str(tmp_path / "c.nmk")
+        main(["init", chain, arrays[0]])
+        np.savez(tmp_path / "s.npz", x=np.load(arrays[1]))
+        assert main(["append", chain, str(tmp_path / "s.npz")]) == 2
+        assert ".npy array" in capsys.readouterr().err
 
 
 class TestErrors:

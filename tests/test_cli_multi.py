@@ -23,12 +23,12 @@ def npz_checkpoints(tmp_path, rng):
 class TestMultiWorkflow:
     def test_init_append_extract(self, tmp_path, npz_checkpoints):
         chain = str(tmp_path / "m.nmk")
-        assert main(["init-multi", chain, npz_checkpoints[0],
+        assert main(["init", chain, npz_checkpoints[0],
                      "--error-bound", "1e-3"]) == 0
-        assert main(["append-multi", chain, npz_checkpoints[1]]) == 0
-        assert main(["append-multi", chain, npz_checkpoints[2]]) == 0
+        assert main(["append", chain, npz_checkpoints[1]]) == 0
+        assert main(["append", chain, npz_checkpoints[2]]) == 0
         out = str(tmp_path / "restart.npz")
-        assert main(["extract-multi", chain, "-o", out]) == 0
+        assert main(["extract", chain, "-o", out]) == 0
 
         with np.load(out) as decoded, np.load(npz_checkpoints[2]) as truth:
             assert set(decoded.files) == {"dens", "pres"}
@@ -38,18 +38,18 @@ class TestMultiWorkflow:
 
     def test_extract_full_checkpoint_exact(self, tmp_path, npz_checkpoints):
         chain = str(tmp_path / "m.nmk")
-        main(["init-multi", chain, npz_checkpoints[0]])
-        main(["append-multi", chain, npz_checkpoints[1]])
+        main(["init", chain, npz_checkpoints[0]])
+        main(["append", chain, npz_checkpoints[1]])
         out = str(tmp_path / "it0.npz")
-        assert main(["extract-multi", chain, "-i", "0", "-o", out]) == 0
+        assert main(["extract", chain, "-i", "0", "-o", out]) == 0
         with np.load(out) as decoded, np.load(npz_checkpoints[0]) as truth:
             for v in ("dens", "pres"):
                 np.testing.assert_array_equal(decoded[v], truth[v])
 
     def test_inspect_multi(self, tmp_path, npz_checkpoints, capsys):
         chain = str(tmp_path / "m.nmk")
-        main(["init-multi", chain, npz_checkpoints[0]])
-        main(["append-multi", chain, npz_checkpoints[1]])
+        main(["init", chain, npz_checkpoints[0]])
+        main(["append", chain, npz_checkpoints[1]])
         capsys.readouterr()
         assert main(["inspect", chain]) == 0
         out = capsys.readouterr().out
@@ -58,16 +58,16 @@ class TestMultiWorkflow:
         assert out.count("delta 1") == 2
 
     def test_append_missing_chain(self, tmp_path, npz_checkpoints, capsys):
-        rc = main(["append-multi", str(tmp_path / "nope.nmk"),
+        rc = main(["append", str(tmp_path / "nope.nmk"),
                    npz_checkpoints[0]])
         assert rc == 2
 
     def test_config_inherited(self, tmp_path, npz_checkpoints, capsys):
         chain = str(tmp_path / "m.nmk")
-        main(["init-multi", chain, npz_checkpoints[0]])
-        main(["append-multi", chain, npz_checkpoints[1],
+        main(["init", chain, npz_checkpoints[0]])
+        main(["append", chain, npz_checkpoints[1],
               "--nbits", "10", "--strategy", "equal_width"])
-        main(["append-multi", chain, npz_checkpoints[2]])
+        main(["append", chain, npz_checkpoints[2]])
         capsys.readouterr()
         main(["inspect", chain])
         out = capsys.readouterr().out
@@ -77,5 +77,5 @@ class TestMultiWorkflow:
     def test_empty_npz_rejected(self, tmp_path, capsys):
         empty = tmp_path / "empty.npz"
         np.savez(empty)
-        rc = main(["init-multi", str(tmp_path / "c.nmk"), str(empty)])
+        rc = main(["init", str(tmp_path / "c.nmk"), str(empty)])
         assert rc == 2

@@ -13,7 +13,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core import CheckpointChain, FormatError, NumarckConfig
-from repro.io import CheckpointFile, load_chain
+from repro.io import CheckpointFile, chain_to_bytes, load_chain
 from repro.restart import (
     CrashDuringWrite,
     DiskFaultInjector,
@@ -193,6 +193,51 @@ class TestPersistIncremental:
             assert len(loaded) == 3
             np.testing.assert_allclose(loaded.reconstruct(),
                                        resumed.chain(v).reconstruct())
+
+    @staticmethod
+    def _failed_fifth_persist(tmp_path, cfg):
+        """Four iterations durable, then a persist of the fifth whose
+        first write finds the disk full."""
+        path_fn = lambda v: tmp_path / f"{v}.nmk"  # noqa: E731
+        disk_full = []
+
+        def write(fh, data):
+            if disk_full:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            fh.write(data)
+
+        sim = ToySim()
+        mgr = RestartManager(VARS, cfg)
+        mgr.record(sim.checkpoint())
+        for _ in range(3):
+            sim.advance()
+            mgr.record(sim.checkpoint())
+        assert mgr.persist_incremental(path_fn, write_hook=write) == 2 * 4
+        sim.advance()
+        mgr.record(sim.checkpoint())
+        disk_full.append(True)
+        with pytest.raises(OSError):
+            mgr.persist_incremental(path_fn, write_hook=write)
+        return mgr, path_fn
+
+    def test_retry_after_failure_writes_only_missing(self, tmp_path, cfg):
+        mgr, path_fn = self._failed_fifth_persist(tmp_path, cfg)
+        disk = DiskFaultInjector()
+        assert mgr.persist_incremental(path_fn, write_hook=disk.hook) == 2
+        assert disk.writes_seen == 2
+        mgr.close_writers()
+        for v in VARS:
+            assert path_fn(v).read_bytes() == chain_to_bytes(mgr.chain(v))
+
+    def test_crash_during_retry_keeps_durable_iterations(self, tmp_path,
+                                                         cfg):
+        mgr, path_fn = self._failed_fifth_persist(tmp_path, cfg)
+        disk = DiskFaultInjector(torn_at=(2,))
+        with pytest.raises(CrashDuringWrite):
+            mgr.persist_incremental(path_fn, write_hook=disk.hook)
+        for v in VARS:
+            loaded, _ = load_chain(path_fn(v), cfg, recover="tail")
+            assert len(loaded) >= 4
 
     def test_from_chains_rejects_empty(self, cfg):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ recover exactly the longest valid record prefix -- while corruption
 because the delta chain beyond it is untrustworthy.
 """
 
+import errno
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,15 @@ from repro.core import (
 )
 from repro.io import (
     CheckpointFile,
+    chain_to_bytes,
     load_chain,
     load_chains,
     salvage_truncate,
     save_chain,
     save_chains,
 )
-from repro.io.container import HEADER_SIZE
+from repro.io.container import HEADER_SIZE, ChainWriter
+from repro.io.durable import retry_io
 
 
 def _build_chain(rng, n_deltas=3, n=400):
@@ -237,6 +241,26 @@ class TestAppendMode:
         np.testing.assert_array_equal(loaded.reconstruct(),
                                       chain.reconstruct(1))
 
+    def test_truncate_records_keeps_table_anchors(self, tmp_path, rng):
+        # Cut an adaptive chain back to just before a reuse-hit delta and
+        # write that delta again: it must still reference the kept
+        # table, so the file equals a save of the shorter chain.
+        cfg = NumarckConfig(error_bound=1e-3, nbits=8,
+                            strategy="equal_width", adaptive=True)
+        data = rng.uniform(1, 2, 3000)
+        chain = CheckpointChain(data, cfg)
+        for _ in range(4):
+            data = data * (1 + rng.normal(0, 0.002, data.size))
+            chain.append(data)
+        assert chain.deltas[2].model_reused
+        p = tmp_path / "adaptive.nmk"
+        save_chain(p, chain)
+        with CheckpointFile.append(p) as writer:
+            writer.truncate_records(3)
+            writer.write_delta(chain.deltas[2])
+        kept = CheckpointChain.resume(chain.full_checkpoint, chain.deltas[:3])
+        assert p.read_bytes() == chain_to_bytes(kept)
+
     def test_truncate_records_bounds(self, saved, tmp_path):
         path, blob, chain = saved
         p = tmp_path / "cut2.nmk"
@@ -244,6 +268,67 @@ class TestAppendMode:
         with CheckpointFile.append(p) as writer:
             with pytest.raises(ValueError):
                 writer.truncate_records(len(chain) + 1)
+
+
+class TestChainWriter:
+    def test_rolled_back_write_is_retried_on_the_held_file(
+            self, saved, tmp_path, monkeypatch):
+        # A transient failure whose write rolled back keeps the writer:
+        # the retry appends on the same handle, without a re-scan.
+        path, blob, chain = saved
+        p = tmp_path / "held.nmk"
+        writer = ChainWriter(p)
+        writer.write_full(chain.full_checkpoint)
+        fail = [True]
+        original = CheckpointFile._write
+
+        def flaky(self, data):
+            if fail:
+                fail.pop()
+                raise OSError(errno.EIO, "Input/output error")
+            return original(self, data)
+
+        monkeypatch.setattr(CheckpointFile, "_write", flaky)
+        monkeypatch.setattr(CheckpointFile, "append", None)  # no re-open
+        for delta in chain.deltas:
+            retry_io(lambda d=delta: writer.write_delta(d),
+                     sleep=lambda _: None)
+        writer.close()
+        assert not fail
+        assert p.read_bytes() == blob
+
+    def test_failed_rollback_reopens_and_cuts(self, saved, tmp_path,
+                                              monkeypatch):
+        path, blob, chain = saved
+        p = tmp_path / "torn.nmk"
+        writer = ChainWriter(p)
+        writer.write_full(chain.full_checkpoint)
+        original = CheckpointFile._write
+
+        class NoTruncate:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def truncate(self, size=None):
+                raise OSError(errno.EIO, "Input/output error")
+
+        def half_then_fail(self, data):
+            # Half a record reaches the disk, then the rollback fails too.
+            original(self, data[: len(data) // 2])
+            self._fh = NoTruncate(self._fh)
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(CheckpointFile, "_write", half_then_fail)
+        with pytest.raises(OSError):
+            writer.write_delta(chain.deltas[0])
+        monkeypatch.setattr(CheckpointFile, "_write", original)
+        for delta in chain.deltas:
+            writer.write_delta(delta)
+        writer.close()
+        assert p.read_bytes() == blob
 
 
 class TestChainTruncate:

@@ -310,6 +310,21 @@ class TestChaosMatrix:
                 assert r["n_points"] == prev.size
                 assert r["max_err"] < 1.2 * E
 
+    def test_fault_free_encodes_never_degraded(self):
+        """A rank that contributed its points and exited is not lost: its
+        pipe's EOF may reach the root before the last broadcast ends."""
+        prev, curr = _pair()
+        cfg = NumarckConfig(error_bound=E, nbits=8)
+        ps, cs = block_partition(prev, 3), block_partition(curr, 3)
+        degraded = 0
+        for _ in range(50):
+            outcomes = run_spmd(
+                _encode_worker, 3, ps, cs, cfg, strict=False,
+                comm_timeout=COMM_TIMEOUT, timeout=RUN_TIMEOUT)
+            assert all(o.ok for o in outcomes)
+            degraded += any(o.value["degraded"] for o in outcomes)
+        assert degraded == 0
+
     def test_two_ranks_lose_the_only_peer(self):
         """nprocs=2 with the non-root rank lost: root completes alone."""
         prev, curr = _pair(3000)

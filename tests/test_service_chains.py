@@ -292,3 +292,33 @@ class TestDownload:
         for blob in served:
             assert final.startswith(blob)
             assert len(chain_from_bytes(blob)) <= len(states)
+
+
+class TestCutKeepsTableReferences:
+    def test_adaptive_chain_after_failed_rollback(self, tmp_path,
+                                                  monkeypatch):
+        # The second delta's record reaches the disk whole, then its
+        # write and rollback fail; the next job's writer cuts the record.  The deltas after the cut still
+        # reference the kept table, so the file equals a direct encode.
+        cfg = NumarckConfig.from_dict({**CFG, "adaptive": True})
+        states = make_states(5, iterations=5)
+        store = tmp_path / "s"
+        writes = []
+        original = CheckpointFile._write
+
+        def flaky(self, data):
+            writes.append(len(data))
+            if len(writes) != 3:
+                return original(self, data)
+            original(self, data)
+            self._fh = _NoTruncate(self._fh)
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(CheckpointFile, "_write", flaky)
+        with CompressionService(durable(store, cfg=cfg)) as svc:
+            compress_all(svc, "c", states[:2])
+            job = svc.submit_compress("c", pack_arrays([states[2]]))
+            assert svc.queue.wait(job.id, timeout=30).state == "failed"
+            compress_all(svc, "c", states[2:])
+            assert svc.chain_container("c") == direct(states, cfg)
+        assert (store / "c.nmk").read_bytes() == direct(states, cfg)

@@ -1,6 +1,8 @@
 """Tests for repro.telemetry: tracer, metrics, sink, accounting, reports."""
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -40,6 +42,24 @@ class TestSpans:
         assert inner.depth == 1 and outer.depth == 0
         assert outer.wall_s >= inner.wall_s >= 0.0
         assert outer.cpu_s >= 0.0
+
+    def test_cpu_is_the_spans_own_thread(self):
+        # Another thread burns 0.2 s of CPU while the span only waits: a
+        # server's span must not absorb its neighbours' work.
+        done = threading.Event()
+
+        def spin():
+            while time.thread_time() < 0.2:
+                pass
+            done.set()
+
+        tel = Telemetry()
+        with tel.span("wait") as sp:
+            worker = threading.Thread(target=spin)
+            worker.start()
+            assert done.wait(30)
+        worker.join()
+        assert sp.cpu_s < 0.1
 
     def test_attributes_set_and_add(self):
         tel = Telemetry()

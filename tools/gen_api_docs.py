@@ -103,10 +103,14 @@ The checkpoint store is crash-consistent by construction:
   (`repro.io.durable.retry_io`).
 * **Append-mode persistence.** `CheckpointFile.append(path)` validates
   the header, scans to the last CRC-valid record, truncates any torn
-  tail, and appends new records with a per-record `fsync` — so
-  `RestartManager.persist_incremental(path_fn)` makes each checkpoint
-  cost O(1) appended records per variable instead of a full rewrite, and
-  a crash can only damage the record being written.
+  tail, and appends new records with a per-record `fsync`.
+  `repro.io.container.ChainWriter` holds one such writer per chain file
+  and cuts the file back to the records its chains share whenever it
+  re-opens it; the service, `repro append` and
+  `RestartManager.persist_incremental(path_fn)` all append through it, so
+  each checkpoint costs O(1) appended records per variable instead of a
+  full rewrite, a crash can only damage the record being written, and a
+  retry after a failed persist writes only the records still missing.
 * **Torn-write salvage.** `CheckpointFile.records(strict=False)` stops
   at a torn tail instead of raising; `load_chain(path, recover="tail")`
   and `load_chains(path, recover="tail")` return the longest valid
