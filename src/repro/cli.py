@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import CheckpointChain, EncodedIteration, NumarckConfig
+from repro.core import CheckpointChain, NumarckConfig
 from repro.core.metrics import compression_ratio_paper
 from repro.io.container import (CheckpointFile, ChainWriter, resume_chains,
                                 save_chain, save_chains)
@@ -160,13 +160,13 @@ def _cmd_append(args: argparse.Namespace) -> int:
     # Records are the fulls, then the deltas interleaved by iteration, so
     # the first depth * len(stored) are whole checkpoints.  A torn record,
     # or a checkpoint some variables never got, is cut before appending.
-    depth = min(1 + len(deltas) for _full, deltas in stored.values())
-    stored = {v: (full, deltas[:depth - 1])
-              for v, (full, deltas) in stored.items()}
+    depth = min(1 + len(payloads) for _full, payloads in stored.values())
+    stored = {v: (full, payloads[:depth - 1])
+              for v, (full, payloads) in stored.items()}
     fallback = None
-    deltas = next(iter(stored.values()))[1]
-    if deltas:
-        last = deltas[-1]
+    full, payloads = next(iter(stored.values()))
+    if payloads:
+        last = CheckpointChain.resume(full, payloads).deltas[-1]
         fallback = NumarckConfig(error_bound=last.error_bound,
                                  nbits=last.nbits, strategy=last.strategy)
     chains = resume_chains(stored, _config_from_args(args, fallback))
@@ -178,7 +178,7 @@ def _cmd_append(args: argparse.Namespace) -> int:
     writer = ChainWriter(chain_path, depth * len(chains))
     try:
         for v, c in chains.items():
-            writer.write_delta(c.deltas[-1], v)
+            writer.write_delta(c.payloads[-1], v)
     finally:
         writer.close()
     # Means over the variables of a multi-variable checkpoint.
@@ -216,7 +216,7 @@ def _cmd_compress_chain(args: argparse.Namespace) -> int:
                                  for p in args.arrays)
     nbytes = save_chain(args.chain, chain)
     line = (f"{args.chain}: {len(chain)} iterations "
-            f"(1 full + {len(chain.deltas)} deltas), {nbytes:,} bytes")
+            f"(1 full + {len(chain) - 1} deltas), {nbytes:,} bytes")
     stats = chain.reuse_stats
     if stats is not None:
         line += (f" | adaptive: {stats.reuse_hits}/{stats.encodes} reuse "
@@ -292,28 +292,28 @@ def _cmd_decompress_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _describe_chain(name: str, full: np.ndarray,
-                    deltas: list[EncodedIteration], indent: str = "") -> None:
+def _describe_chain(name: str, chain: CheckpointChain,
+                    indent: str = "") -> None:
     from repro.telemetry.accounting import (
-        delta_payload_nbytes,
         full_payload_nbytes,
         raw_nbytes,
         record_nbytes,
     )
 
-    print(f"{indent}{name}: {1 + len(deltas)} iterations "
-          f"(1 full + {len(deltas)} deltas), "
+    full = chain.full_checkpoint
+    print(f"{indent}{name}: {len(chain)} iterations "
+          f"(1 full + {len(chain) - 1} deltas), "
           f"{full.size} points of shape {full.shape}")
     full_bytes = record_nbytes(full_payload_nbytes(full))
     stored = full_bytes
     raw = raw_nbytes(full.size)
     print(f"{indent}  full: {full_bytes:,} bytes on disk "
           f"({raw:,} raw)")
-    for i, enc in enumerate(deltas, start=1):
+    for i, (enc, payload) in enumerate(zip(chain.deltas, chain.payloads), 1):
         ratio = compression_ratio_paper(enc.n_points, enc.n_incompressible,
                                         enc.nbits,
                                         value_bits=enc.value_bits)
-        nbytes = record_nbytes(delta_payload_nbytes(enc))
+        nbytes = record_nbytes(len(payload))
         stored += nbytes
         raw += raw_nbytes(enc.n_points, value_bits=enc.value_bits)
         reused = " model=reused" if enc.model_reused else ""
@@ -599,14 +599,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     with CheckpointFile.open(args.chain) as f:
-        chains = f.read_chains()
+        chains = resume_chains(f.read_chains())
     if None in chains:
-        _describe_chain(str(args.chain), *chains[None])
+        _describe_chain(str(args.chain), chains[None])
         return 0
     print(f"{args.chain}: multi-variable checkpoint, "
           f"{len(chains)} variables")
-    for name, (full, deltas) in chains.items():
-        _describe_chain(name, full, deltas, indent="  ")
+    for name, chain in chains.items():
+        _describe_chain(name, chain, indent="  ")
     return 0
 
 

@@ -4,6 +4,10 @@ A chain starts from a full, exact checkpoint ``D_0`` and appends one
 encoded delta per subsequent iteration.  Restart reads the full checkpoint
 and replays deltas in order.
 
+Each delta is held as its record payload, built once at append.  The
+chain decides its table references (a reuse hit whose table equals the
+previous delta's references it); files only frame the payloads.
+
 Two reference modes (see :class:`~repro.core.config.NumarckConfig`):
 
 * ``"original"`` (paper): iteration ``i`` is encoded against the *true*
@@ -26,9 +30,20 @@ from repro.core.config import NumarckConfig
 from repro.core.decoder import decode_iteration
 from repro.core.encoder import EncodedIteration, encode_pair
 from repro.core.metrics import CompressionStats, compression_stats
+from repro.core.strategies.base import BinModel
 from repro.errors import FormatError
+from repro.io.format import (decode_delta_bytes, encode_delta_bytes,
+                             peek_delta_table)
 
 __all__ = ["CheckpointChain"]
+
+
+def _last_table(payloads: Sequence[bytes]) -> np.ndarray | None:
+    """The last delta's table (``None`` for none), from the heads alone."""
+    table = None
+    for payload in payloads:
+        table = peek_delta_table(payload, table)
+    return table
 
 
 class CheckpointChain:
@@ -45,37 +60,47 @@ class CheckpointChain:
 
     def __init__(self, full_checkpoint: np.ndarray,
                  config: NumarckConfig | None = None) -> None:
+        self._start(np.array(full_checkpoint, dtype=np.float64, copy=True),
+                    config, [])
+
+    def _start(self, full: np.ndarray, config: NumarckConfig | None,
+               payloads: list[bytes]) -> None:
         self.config = config if config is not None else NumarckConfig()
-        self._full = np.array(full_checkpoint, dtype=np.float64, copy=True)
-        self._deltas: list[EncodedIteration] = []
+        self._full = full
+        self._payloads = payloads
+        # The last delta's table: the one a reuse-hit delta may reference.
+        self._table = _last_table(payloads)
         self._stats: list[CompressionStats] = []
         # Reference state for the *next* append, built on first use.
         self._ref: np.ndarray | None = None
         # With config.adaptive, appends share one stateful encoder so the
-        # fitted bin model carries across iterations (drift-validated).
+        # fitted model carries over; a resume seeds it with the last table.
         self._adaptive = (AdaptiveEncoder(self.config)
                           if self.config.adaptive else None)
+        if self._adaptive is not None and getattr(self._table, "size", 0):
+            self._adaptive.seed(BinModel(self._table))
 
     @classmethod
-    def resume(cls, full_checkpoint: np.ndarray,
-               deltas: Sequence[EncodedIteration],
+    def resume(cls, full_checkpoint: np.ndarray, payloads: Sequence[bytes],
                config: NumarckConfig | None = None) -> "CheckpointChain":
-        """A chain already holding ``deltas`` (e.g. read from a file).
-        Nothing is decoded until an append needs the reference."""
-        chain = cls(full_checkpoint, config)
-        chain._deltas = list(deltas)
+        """A chain already holding delta ``payloads`` (e.g. read from a
+        file), taking ``full_checkpoint`` uncopied.  Only the payload heads
+        are read, for the last table, so model reuse resumes after a load."""
+        chain = cls.__new__(cls)
+        chain._start(np.asarray(full_checkpoint, dtype=np.float64), config,
+                     list(payloads))
         return chain
 
     # -- writing ----------------------------------------------------------
 
     def append(self, data: np.ndarray, *,
-               persist: Callable[[EncodedIteration], None] | None = None
+               persist: Callable[[bytes], None] | None = None
                ) -> CompressionStats:
         """Encode one more iteration; returns its compression stats.
 
-        ``persist``, when given, receives the encoded iteration before the
-        chain takes it.  If it raises, the chain is left as it was (only
-        an adaptive chain's cached bin model keeps what the encode
+        ``persist``, when given, receives the delta's record payload before
+        the chain takes it.  If it raises, the chain is left as it was
+        (only an adaptive chain's cached bin model keeps what the encode
         learned), so a durable caller never holds a state its storage
         lost.
         """
@@ -92,9 +117,14 @@ class CheckpointChain:
         else:
             encoded, report = encode_pair(self._ref, arr, self.config)
         stats = compression_stats(encoded, report.mean_error, report.max_error)
+        table_ref = bool(encoded.model_reused and self._table is not None
+                         and np.array_equal(encoded.representatives,
+                                            self._table))
+        payload = encode_delta_bytes(encoded, table_ref=table_ref)
         if persist is not None:
-            persist(encoded)
-        self._deltas.append(encoded)
+            persist(payload)
+        self._payloads.append(payload)
+        self._table = encoded.representatives
         self._stats.append(stats)
         if self.config.reference == "original":
             self._ref = arr.astype(np.float64, copy=True)
@@ -121,7 +151,8 @@ class CheckpointChain:
             )
         if n_iterations == len(self):
             return
-        self._deltas = self._deltas[: n_iterations - 1]
+        self._payloads = self._payloads[: n_iterations - 1]
+        self._table = _last_table(self._payloads)
         self._stats = self._stats[: n_iterations - 1]
         self._ref = None
         if self._adaptive is not None:
@@ -138,20 +169,38 @@ class CheckpointChain:
 
     def __len__(self) -> int:
         """Number of stored iterations including the full checkpoint."""
-        return 1 + len(self._deltas)
+        return 1 + len(self._payloads)
+
+    @property
+    def n_points(self) -> int:
+        """Points per state."""
+        return int(self._full.size)
 
     @property
     def full_checkpoint(self) -> np.ndarray:
         return self._full.copy()
 
     @property
+    def payloads(self) -> tuple[bytes, ...]:
+        """Each delta's record payload, as written to a chain file."""
+        return tuple(self._payloads)
+
+    @property
     def deltas(self) -> tuple[EncodedIteration, ...]:
-        return tuple(self._deltas)
+        return tuple(self._decoded())
 
     @property
     def stats(self) -> tuple[CompressionStats, ...]:
         """Per-delta compression stats, index 0 = first delta."""
         return tuple(self._stats)
+
+    def _decoded(self, n: int | None = None) -> Iterator[EncodedIteration]:
+        """Decode the first ``n`` payloads (``None``: all) in order."""
+        table = None
+        for payload in self._payloads[:n]:
+            enc = decode_delta_bytes(payload, prev_reps=table)
+            table = enc.representatives
+            yield enc
 
     def reconstruct(self, iteration: int | None = None) -> np.ndarray:
         """Decode the state at ``iteration`` (0 = full checkpoint).
@@ -159,12 +208,12 @@ class CheckpointChain:
         ``None`` means the latest iteration.  Replays all deltas up to the
         requested point, mirroring a restart from the chain's files.
         """
-        last = len(self._deltas)
+        last = len(self._payloads)
         it = last if iteration is None else iteration
         if not 0 <= it <= last:
             raise IndexError(f"iteration {it} out of range [0, {last}]")
         state = self._full.copy()
-        for enc in self._deltas[:it]:
+        for enc in self._decoded(it):
             state = decode_iteration(state, enc)
         return state
 
@@ -172,6 +221,6 @@ class CheckpointChain:
         """Yield the decoded state of every iteration, starting at 0."""
         state = self._full.copy()
         yield state.copy()
-        for enc in self._deltas:
+        for enc in self._decoded():
             state = decode_iteration(state, enc)
             yield state.copy()

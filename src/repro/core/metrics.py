@@ -50,6 +50,7 @@ class CompressionStats:
     max_error: float
     ratio_paper: float
     ratio_actual: float
+    model_reused: bool = False
 
     @property
     def incompressible_ratio(self) -> float:
@@ -182,6 +183,7 @@ def compression_stats(encoded: EncodedIteration, mean_error: float,
                                             value_bits=encoded.value_bits),
         ratio_actual=compression_ratio_actual(n, n_inc, encoded.nbits, n_bins,
                                               value_bits=encoded.value_bits),
+        model_reused=encoded.model_reused,
     )
 
 

@@ -20,10 +20,10 @@ High-level API::
 
     with CheckpointFile.create(path) as f:  # streaming writer
         f.write_full(d0)                    # or write_full(d0, name="dens")
-        f.write_delta(encoded)              # or write_delta(enc, name="dens")
+        f.write_delta(chain.payloads[0])    # or write_delta(p, name="dens")
 
     with CheckpointFile.append(path) as f:  # crash-consistent appends
-        f.write_delta(encoded)              # per-record fsync
+        f.write_delta(chain.payloads[1])    # per-record fsync
 
     chain, report = load_chain(path, recover="tail")   # torn-tail salvage
 

@@ -18,7 +18,8 @@ Tags:
   (:mod:`repro.io.streamed`).
 
 The CRC covers tag + length + payload, so any bit flip or truncation in a
-record is caught.  Records are strictly appended.
+record is caught.  Records are strictly appended.  A delta record holds
+the payload its chain built: it is framed, never decoded, here.
 
 Durability model
 ----------------
@@ -45,26 +46,24 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator
 
 import numpy as np
 
-from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
-from repro.core.encoder import EncodedIteration
 from repro.errors import FormatError, SalvageError, SalvageReport
 from repro.io.durable import atomic_write, retry_io
 from repro.io.format import (
     FORMAT_VERSION,
     MAGIC,
     SUPPORTED_VERSIONS,
-    decode_delta_bytes,
     decode_full_bytes,
-    encode_delta_bytes,
     encode_full_bytes,
-    peek_delta_table,
 )
 from repro.telemetry.tracer import get_telemetry
+
+if TYPE_CHECKING:  # the chain imports the codec, whose package imports us
+    from repro.core.checkpoint import CheckpointChain
 
 __all__ = ["CheckpointFile", "ChainWriter", "save_chain", "load_chain",
            "save_chains", "load_chains", "resume_chains", "salvage_truncate",
@@ -83,9 +82,9 @@ HEADER_SIZE = 6
 #: injection).
 WriteHook = Callable[[BinaryIO, bytes], None]
 
-#: what :meth:`CheckpointFile.read_chains` returns: ``(full, deltas)`` per
-#: chain, keyed by variable name (``None`` for a single-chain file).
-Chains = dict[str | None, tuple[np.ndarray, list[EncodedIteration]]]
+#: what :meth:`CheckpointFile.read_chains` returns: ``(full, payloads)``
+#: per chain, keyed by variable name (``None`` for a single-chain file).
+Chains = dict[str | None, tuple[np.ndarray, list[bytes]]]
 
 
 class _ScanFailure(Exception):
@@ -217,7 +216,7 @@ def _tagged(name: str | None, tag: bytes, named_tag: bytes,
 
 
 def _chain_record(tag: bytes, payload: bytes
-                  ) -> tuple[bool, str | None, bytes] | None:
+                  ) -> tuple[bool, str | None, bytes | memoryview] | None:
     """``(is_full, name, body)`` of a chain record, ``None`` for any other
     tag; ``name`` is ``None`` for FULL/DELT records."""
     if tag in (TAG_FULL, TAG_DELTA):
@@ -233,7 +232,7 @@ def _chain_record(tag: bytes, payload: bytes
         name = payload[1 : 1 + nlen].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"corrupt variable name: {exc}") from exc
-    return tag == TAG_NAMED_FULL, name, payload[1 + nlen :]
+    return tag == TAG_NAMED_FULL, name, memoryview(payload)[1 + nlen :]
 
 
 class CheckpointFile:
@@ -267,11 +266,8 @@ class CheckpointFile:
         self.salvage: SalvageReport | None = None
         #: a failed write could not roll back: bytes may follow ``end``.
         self.torn = False
-        #: per chain (keyed by variable name, ``None`` for a single chain):
-        #: the table of its last delta written/seen on this handle -- the
-        #: dedup anchor for table-reference records.  A name is a key
-        #: once its full record is.
-        self._anchors: dict[str | None, np.ndarray | None] = {}
+        #: record index of each chain's full record, by variable name.
+        self._fulls: dict[str | None, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -280,7 +276,7 @@ class CheckpointFile:
                write_hook: WriteHook | None = None,
                sync: bool = False) -> "CheckpointFile":
         """Create/truncate a checkpoint file and write the header."""
-        fh = open(path, "w+b")
+        fh = open(path, "wb")
         fh.write(MAGIC + struct.pack("<H", FORMAT_VERSION))
         return cls(fh, "w", write_hook=write_hook, sync=sync)
 
@@ -348,9 +344,7 @@ class CheckpointFile:
         what (if anything) was cut.  A file whose damage is *not* a torn
         tail (valid records after a corrupt one) raises
         :class:`FormatError` -- appending to it would bury the corruption.
-        The scan also replays every chain's table-dedup anchor, so
-        appended reuse-hit deltas keep eliding repeated tables, in
-        single-chain and multi-variable files alike.
+        The scan parses no payload.
 
         With ``sync`` (the default) every appended record is flushed and
         ``fsync``\\ ed individually, so a crash can only tear the record
@@ -369,13 +363,11 @@ class CheckpointFile:
 
     def _found(self, tag: bytes, payload: bytes) -> None:
         """Account for one valid record already in the file."""
+        rec = _chain_record(tag, payload)
+        if rec is not None and rec[0]:
+            self._fulls[rec[1]] = self.n_records
         self.n_records += 1
         self._record_ends.append(self._fh.tell())
-        rec = _chain_record(tag, payload)
-        if rec is not None:
-            is_full, name, body = rec
-            self._anchors[name] = (None if is_full else peek_delta_table(
-                body, self._anchors.get(name)))
 
     def close(self) -> None:
         if self._owns_handle:
@@ -445,9 +437,7 @@ class CheckpointFile:
         """Drop every record after the first ``n`` (writer mode only).
 
         Used when resuming an append on a file that holds more records
-        than the adopted in-memory chain trusts.  The kept records are
-        re-read so every chain's table-dedup anchor is that of its last
-        kept delta, as if the cut records had never been written.
+        than the adopted in-memory chain trusts; it reads no record.
         """
         if self._mode != "w":
             raise FormatError("file opened for reading")
@@ -457,46 +447,28 @@ class CheckpointFile:
             return
         end = self._record_ends[n]
         self._fh.truncate(end)
+        self._fh.seek(end)
         if self._sync:
             self._fh.flush()
             os.fsync(self._fh.fileno())
-        self.n_records, self._record_ends, self._anchors = 0, [HEADER_SIZE], {}
-        self._fh.seek(HEADER_SIZE)
-        for tag, payload in _iter_frames(self._fh):
-            self._found(tag, payload)
+        self.n_records = n
+        del self._record_ends[n + 1:]
+        self._fulls = {k: i for k, i in self._fulls.items() if i < n}
 
     def write_full(self, data: np.ndarray, name: str | None = None) -> None:
         """Append an exact full-checkpoint record (of variable ``name``)."""
-        if name is not None and name in self._anchors:
+        if name is not None and name in self._fulls:
             raise FormatError(f"variable {name!r} already has a full record")
         self.write_record(*_tagged(name, TAG_FULL, TAG_NAMED_FULL,
                                    encode_full_bytes(data)))
-        self._anchors[name] = None
+        self._fulls[name] = self.n_records - 1
 
-    def write_delta(self, encoded: EncodedIteration,
-                    name: str | None = None) -> None:
-        """Append one encoded-iteration record (of variable ``name``).
-
-        When the iteration reused the previous delta's bin model
-        (``model_reused``) and the tables verifiably match, the table is
-        stored as a back-reference instead of repeating it.
-        """
-        if name is not None and name not in self._anchors:
+    def write_delta(self, payload: bytes, name: str | None = None) -> None:
+        """Append a delta record (of variable ``name``) framing ``payload``,
+        as its chain built it."""
+        if name is not None and name not in self._fulls:
             raise FormatError(f"variable {name!r} has no full record yet")
-        prev = self._anchors.get(name)
-        ref = bool(
-            encoded.model_reused
-            and prev is not None
-            and encoded.representatives.size == prev.size
-            and np.array_equal(encoded.representatives, prev)
-        )
-        self.write_record(*_tagged(name, TAG_DELTA, TAG_NAMED_DELTA,
-                                   encode_delta_bytes(encoded, table_ref=ref)))
-        if ref:
-            get_telemetry().metrics.counter("io.table_refs").inc()
-        else:
-            self._anchors[name] = np.asarray(encoded.representatives,
-                                             dtype=np.float64).copy()
+        self.write_record(*_tagged(name, TAG_DELTA, TAG_NAMED_DELTA, payload))
 
     # -- reading -----------------------------------------------------------
 
@@ -529,7 +501,7 @@ class CheckpointFile:
             yield tag, payload
 
     def read_chains(self, strict: bool = True) -> Chains:
-        """Read every chain in the file as ``{name: (full, deltas)}``.
+        """Read every chain in the file as ``{name: (full, payloads)}``.
 
         A single-chain file (FULL/DELT records) reads as ``{None: ...}``,
         a multi-variable file (NFUL/NDEL records) as one entry per
@@ -554,9 +526,7 @@ class CheckpointFile:
                 raise FormatError(f"{tag.decode()} record before FULL "
                                   f"record for {what}")
             else:
-                deltas = chains[name][1]
-                prev = deltas[-1].representatives if deltas else None
-                deltas.append(decode_delta_bytes(body, prev_reps=prev))
+                chains[name][1].append(bytes(body))
         if not chains:
             raise FormatError("checkpoint file has no FULL record")
         return chains
@@ -592,10 +562,9 @@ class ChainWriter:
         """Commit a full record, as :meth:`CheckpointFile.write_full`."""
         self._write(lambda w: w.write_full(data, name))
 
-    def write_delta(self, encoded: EncodedIteration,
-                    name: str | None = None) -> None:
+    def write_delta(self, payload: bytes, name: str | None = None) -> None:
         """Commit a delta record, as :meth:`CheckpointFile.write_delta`."""
-        self._write(lambda w: w.write_delta(encoded, name))
+        self._write(lambda w: w.write_delta(payload, name))
 
     def _write(self, write: Callable[[CheckpointFile], None]) -> None:
         try:
@@ -636,7 +605,7 @@ class ChainWriter:
 
 
 def _single_chain(chains: Chains, source: str | Path
-                  ) -> tuple[np.ndarray, list[EncodedIteration]]:
+                  ) -> tuple[np.ndarray, list[bytes]]:
     if None not in chains:
         raise FormatError(f"{source}: multi-variable file ({len(chains)} "
                           f"variables); read it with load_chains")
@@ -666,7 +635,7 @@ def _read_file(path: str | Path, recover: str | None
             raise SalvageError(f"{path}: nothing to salvage: {exc}") from exc
         if strict:
             return chains, None
-        kept = sum(1 + len(deltas) for _full, deltas in chains.values())
+        kept = sum(1 + len(payloads) for _full, payloads in chains.values())
         return chains, _salvage_report(
             path, kept, f.valid_end, _stream_size(f._fh),
             f.damage[0] if f.damage else None)
@@ -679,19 +648,18 @@ def _write_chains(f: CheckpointFile,
     appends them in."""
     for name, chain in chains.items():
         f.write_full(chain.full_checkpoint, name)
-    depth = max(len(chain.deltas) for chain in chains.values())
-    for i in range(depth):
-        for name, chain in chains.items():
-            if i < len(chain.deltas):
-                f.write_delta(chain.deltas[i], name)
+    payloads = {name: chain.payloads for name, chain in chains.items()}
+    for i in range(max(map(len, payloads.values()))):
+        for name, held in payloads.items():
+            if i < len(held):
+                f.write_delta(held[i], name)
 
 
 def chain_to_bytes(chain: CheckpointChain) -> bytes:
     """Serialise a chain to container bytes: the in-memory twin of
     :func:`save_chain`, byte for byte."""
     buf = io.BytesIO()
-    with get_telemetry().span("io.chain_to_bytes",
-                              records=1 + len(chain.deltas)) as sp:
+    with get_telemetry().span("io.chain_to_bytes", records=len(chain)) as sp:
         _write_chains(CheckpointFile.from_handle(buf), {None: chain})
         data = buf.getvalue()
         sp.set(bytes_out=len(data))
@@ -730,7 +698,7 @@ def save_chain(path: str | Path, chain: CheckpointChain) -> int:
     """Write a :class:`CheckpointChain` to ``path`` atomically (see
     :meth:`CheckpointFile.save`); returns bytes written."""
     return CheckpointFile.save(path, lambda f: _write_chains(f, {None: chain}),
-                               "io.save_chain", records=1 + len(chain.deltas))
+                               "io.save_chain", records=len(chain))
 
 
 def save_chains(path: str | Path, chains: dict[str, CheckpointChain]) -> int:
@@ -751,21 +719,12 @@ def save_chains(path: str | Path, chains: dict[str, CheckpointChain]) -> int:
 def resume_chains(chains: Chains, config: NumarckConfig | None = None
                   ) -> dict[str | None, CheckpointChain]:
     """One :class:`CheckpointChain` per entry of
-    :meth:`CheckpointFile.read_chains`, ready to append to.
+    :meth:`CheckpointFile.read_chains`, ready to append to (see
+    :meth:`CheckpointChain.resume`)."""
+    from repro.core.checkpoint import CheckpointChain
 
-    A single chain's adaptive model is primed with its last stored table
-    (conservative zero baseline), so model reuse resumes across a
-    save/load cycle; the chains of a multi-variable file refit first.
-    """
-    out = {name: CheckpointChain.resume(full, deltas, config)
-           for name, (full, deltas) in chains.items()}
-    deltas = chains[None][1] if None in chains else []
-    adaptive = out[None]._adaptive if deltas else None  # noqa: SLF001
-    if adaptive is not None and deltas[-1].representatives.size:
-        from repro.core.strategies.base import BinModel
-
-        adaptive.seed(BinModel(deltas[-1].representatives))
-    return out
+    return {name: CheckpointChain.resume(full, payloads, config)
+            for name, (full, payloads) in chains.items()}
 
 
 def load_chain(path: str | Path,
@@ -786,9 +745,9 @@ def load_chain(path: str | Path,
     """
     with get_telemetry().span("io.load_chain", recover=recover) as sp:
         chains, report = _read_file(path, recover)
-        deltas = _single_chain(chains, path)[1]
+        payloads = _single_chain(chains, path)[1]
         nbytes = Path(path).stat().st_size
-        sp.set(records=1 + len(deltas),
+        sp.set(records=1 + len(payloads),
                bytes_in=nbytes - (report.bytes_truncated if report else 0))
         chain = resume_chains(chains, config)[None]
     return chain if report is None else (chain, report)

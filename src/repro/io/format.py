@@ -187,14 +187,10 @@ def encode_delta_bytes(enc: EncodedIteration, *, table_ref: bool = False) -> byt
                                enc.exact_values, enc.nbits, enc.value_bits))
 
 
-def decode_delta_bytes(payload: bytes,
-                       prev_reps: np.ndarray | None = None) -> EncodedIteration:
-    """Inverse of :func:`encode_delta_bytes`.
-
-    ``prev_reps`` is the representative table of the nearest preceding
-    delta in the same chain; it is required to resolve a table-reference
-    delta (flag bit 3) and ignored otherwise.
-    """
+def _delta_head(payload: bytes, prev_reps: np.ndarray | None):
+    """``(buf, nbits, flags, strategy, error_bound, shape, reps, off)`` of
+    a delta payload: everything before the point tail (which starts at
+    ``off``), with a table reference resolved against ``prev_reps``."""
     buf = memoryview(payload)
     try:
         nbits, flags, slen = struct.unpack_from("<BBB", buf, 0)
@@ -219,6 +215,19 @@ def decode_delta_bytes(payload: bytes,
                 "representative table (prev_reps)"
             )
         reps = np.asarray(prev_reps, dtype=np.float64).copy()
+    return buf, nbits, flags, strategy, error_bound, shape, reps, off
+
+
+def decode_delta_bytes(payload: bytes,
+                       prev_reps: np.ndarray | None = None) -> EncodedIteration:
+    """Inverse of :func:`encode_delta_bytes`.
+
+    ``prev_reps`` is the representative table of the nearest preceding
+    delta in the same chain; it is required to resolve a table-reference
+    delta (flag bit 3) and ignored otherwise.
+    """
+    buf, nbits, flags, strategy, error_bound, shape, reps, off = _delta_head(
+        payload, prev_reps)
     zero_reserved = bool(flags & _FLAG_ZERO_RESERVED)
     float32 = bool(flags & _FLAG_FLOAT32_VALUES)
     n = int(np.prod(shape, dtype=np.int64)) if shape else 1
@@ -242,30 +251,8 @@ def decode_delta_bytes(payload: bytes,
 
 def peek_delta_table(payload: bytes,
                      prev_reps: np.ndarray | None = None) -> np.ndarray:
-    """Representative table of a serialised delta, without a full decode.
-
-    Parses only the fixed head (cheap -- no bitmap/index unpacking); used
-    by append-mode writers to rebuild their table-dedup state from the
-    records already on disk.  ``prev_reps`` resolves table references as
-    in :func:`decode_delta_bytes`.
-    """
-    buf = memoryview(payload)
-    try:
-        _nbits, flags, slen = struct.unpack_from("<BBB", buf, 0)
-        off = 3 + slen + 8
-        _shape, off = _unpack_dims(buf, off)
-        (n_reps,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        reps = np.frombuffer(buf[off : off + 8 * n_reps], dtype="<f8").copy()
-        if reps.size != n_reps:
-            raise FormatError("truncated representatives table")
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"corrupt delta payload: {exc}") from exc
-    if flags & _FLAG_TABLE_REF:
-        if prev_reps is None:
-            raise FormatError(
-                "table-reference delta needs the preceding delta's "
-                "representative table (prev_reps)"
-            )
-        return np.asarray(prev_reps, dtype=np.float64).copy()
-    return reps
+    """Representative table of a serialised delta, parsing only its head
+    (``prev_reps`` as in :func:`decode_delta_bytes`); a resumed or cut
+    chain walks its payloads with it for the table its next delta may
+    reference."""
+    return _delta_head(payload, prev_reps)[6]

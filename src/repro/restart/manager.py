@@ -91,6 +91,7 @@ class RestartManager(VariableSet):
             try:
                 for v in self.variables:
                     chain = self._chains[v]
+                    payloads = chain.payloads
                     w = self._writers.get(v)
                     if w is None:
                         w = self._writers[v] = ChainWriter(
@@ -99,7 +100,7 @@ class RestartManager(VariableSet):
                     while w.committed < len(chain):
                         retry_io(lambda: w.write_full(chain.full_checkpoint)
                                  if w.committed == 0 else
-                                 w.write_delta(chain.deltas[w.committed - 1]))
+                                 w.write_delta(payloads[w.committed - 1]))
                         appended += 1
             except BaseException:
                 self.close_writers()

@@ -9,10 +9,10 @@ every later job appends an encoded delta.  Each chain wraps one live
 the model hint rides on the chain, not on the request.
 
 Each chain holds one :class:`~repro.io.container.ChainWriter` -- over
-its file with a ``store_dir``, else over a buffer -- so a record is
-serialised once, at append, and an append costs the same at any chain
-length.  A download serves the writer's committed container: never a
-re-encode, a torn tail or a record whose rollback failed.  With a
+its file with a ``store_dir``, else over a buffer -- which frames the
+payload the chain built at append, so an append costs the same at any
+chain length.  A download serves the writer's committed container: never
+a re-encode, a torn tail or a record whose rollback failed.  With a
 ``store_dir`` each record is fsynced before its job is acknowledged, and
 start-up re-opens stored chains with ``recover="tail"``: a crash costs
 the torn record, never the chain.  A recovered chain decodes nothing;
@@ -99,9 +99,9 @@ class Chain:
                 self.chain = CheckpointChain(arr, self.config)
                 kind, reused = "full", False
             else:
-                self.chain.append(arr, persist=self._writer.write_delta)
-                kind = "delta"
-                reused = bool(self.chain.deltas[-1].model_reused)
+                stats = self.chain.append(arr,
+                                          persist=self._writer.write_delta)
+                kind, reused = "delta", stats.model_reused
             self.jobs_accepted += 1
             self.bytes_in += arr.nbytes
             sp.set(record=kind, model_reused=reused,
@@ -131,7 +131,7 @@ class Chain:
             out: dict[str, Any] = {
                 "id": self.id,
                 "iterations": n,
-                "n_points": (int(self.chain.full_checkpoint.size)
+                "n_points": (self.chain.n_points
                              if self.chain is not None else 0),
                 "jobs_accepted": self.jobs_accepted,
                 "bytes_in": self.bytes_in,

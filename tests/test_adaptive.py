@@ -199,13 +199,30 @@ class TestChainIntegration:
         for state in states[5:]:
             resumed.append(state)
         with CheckpointFile.append(path) as f:
-            from repro.io.format import encode_delta_bytes  # noqa: F401
-            for enc in resumed.deltas[4:]:
-                f.write_delta(enc)
+            for payload in resumed.payloads[4:]:
+                f.write_delta(payload)
         final = load_chain(path, cfg)
         assert len(final) == len(states)
         np.testing.assert_array_equal(final.reconstruct(len(states) - 1),
                                       resumed.reconstruct(len(states) - 1))
+
+    def test_load_chains_resumes_model_reuse(self, tmp_path):
+        # Every chain of a multi-variable file is seeded with its last
+        # table, as a single chain is: the first append after the load
+        # reuses it, and its record references the stored table.
+        from repro.io import load_chains, save_chains
+
+        states = _stationary_states(6)
+        cfg = NumarckConfig(adaptive=True, **CFG)
+        scales = {"a": 1.0, "b": 3.0}
+        path = tmp_path / "m.nmk"
+        save_chains(path, {v: Codec(config=cfg).compress_chain(
+            [s * scale for s in states[:5]]) for v, scale in scales.items()})
+        loaded = load_chains(path, cfg)
+        for v, scale in scales.items():
+            loaded[v].append(states[5] * scale)
+            assert loaded[v].deltas[-1].model_reused
+            assert loaded[v].payloads[-1][1] & 0x08  # flags: table reference
 
     def test_truncate_resets_cache(self):
         states = _stationary_states(4)

@@ -1,5 +1,7 @@
 """CheckpointChain: multi-iteration encode/replay semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,24 @@ class TestErrorBehaviour:
         for s in stats:
             assert s.max_error < 1e-3
             assert 0.0 <= s.incompressible_ratio <= 1.0
+
+
+class TestHeldPayloads:
+    def test_retains_record_bytes_not_decoded_deltas(self, rng):
+        # At B = 8 a delta's record is about 1.1 B per point; held decoded
+        # (uint32 indices plus a bool mask) it would be 5.
+        n, k = 51_840, 5
+        data = _trajectory(rng, n_iter=k + 1, n=n)
+        chain = CheckpointChain(data[0], NumarckConfig(nbits=8,
+                                                       adaptive=True))
+        tracemalloc.start()
+        try:
+            # The first append builds the reference and the model; what
+            # the next ``k`` add is what the chain keeps per delta.
+            chain.append(data[1])
+            before = tracemalloc.get_traced_memory()[0]
+            chain.extend(data[2:])
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / (k * n) <= 1.5

@@ -210,12 +210,13 @@ class TestErrors:
         """A single-chain file whose DELT precedes its FULL is reported as
         exactly that, not as a malformed multi-variable file."""
         from repro.core import NumarckConfig, encode_pair
-        from repro.io import CheckpointFile
+        from repro.io import CheckpointFile, encode_delta_bytes
 
         prev, curr = np.load(arrays[0]), np.load(arrays[1])
         path = tmp_path / "d.nmk"
         with CheckpointFile.create(path) as f:
-            f.write_delta(encode_pair(prev, curr, NumarckConfig())[0])
+            f.write_delta(encode_delta_bytes(
+                encode_pair(prev, curr, NumarckConfig())[0]))
             f.write_full(prev)
         assert main(["inspect", str(path)]) == 1
         err = capsys.readouterr().err

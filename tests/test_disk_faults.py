@@ -66,7 +66,7 @@ class TestDiskFaultInjector:
         writer = CheckpointFile.create(path, write_hook=disk.hook, sync=True)
         writer.write_full(chain.full_checkpoint)
         with pytest.raises(CrashDuringWrite):
-            writer.write_delta(chain.deltas[0])
+            writer.write_delta(chain.payloads[0])
         writer.close()
         # Strict read fails on the torn tail; salvage keeps the FULL record.
         with pytest.raises(FormatError):

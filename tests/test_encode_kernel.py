@@ -104,12 +104,12 @@ class TestPinnedMultiVariableBytes:
             for name, chain in chains.items():
                 w.write_full(chain.full_checkpoint, name=name)
             for name, chain in chains.items():
-                w.write_delta(chain.deltas[0], name=name)
+                w.write_delta(chain.payloads[0], name=name)
         with CheckpointFile.append(path) as w:
             for i in (1, 2):
                 for name, chain in chains.items():
-                    if i < len(chain.deltas):
-                        w.write_delta(chain.deltas[i], name=name)
+                    if i < len(chain.payloads):
+                        w.write_delta(chain.payloads[i], name=name)
         assert path.read_bytes() == saved.read_bytes()
 
 

@@ -25,7 +25,23 @@ from repro.io import (
     encode_full_bytes,
     load_chain,
     save_chain,
+    save_chains,
 )
+from repro.io.format import peek_delta_table
+
+
+def _calls(monkeypatch, fn):
+    """Record the calls of ``fn`` from every module that imported it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
 
 
 def _assert_encoded_equal(a, b):
@@ -200,7 +216,7 @@ class TestContainer:
         prev = rng.uniform(1, 2, 50)
         enc = encode_pair(prev, prev * 1.01, NumarckConfig())[0]
         with CheckpointFile.create(tmp_path / "d.nmk") as f:
-            f.write_delta(enc)
+            f.write_delta(encode_delta_bytes(enc))
         with pytest.raises(FormatError, match="before FULL"):
             load_chain(tmp_path / "d.nmk")
 
@@ -240,17 +256,31 @@ class TestResume:
     def decodes(self, monkeypatch):
         """Count ``decode_iteration`` calls from every module that
         imported it."""
-        calls = []
-        original = decode_iteration
+        return _calls(monkeypatch, decode_iteration)
 
-        def counting(prev, enc):
-            calls.append(enc)
-            return original(prev, enc)
-
-        for module in list(sys.modules.values()):
-            if getattr(module, "decode_iteration", None) is original:
-                monkeypatch.setattr(module, "decode_iteration", counting)
-        return calls
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    def test_rebuilt_chain_decodes_each_delta_once(self, rng, monkeypatch,
+                                                   decodes, adaptive):
+        # An adaptive chain's reuse hits are table references, resolved
+        # in the same single pass.
+        cfg = NumarckConfig(nbits=8, strategy="equal_width",
+                            adaptive=adaptive)
+        states = _trajectory_states(rng, n_deltas=5)
+        chain = CheckpointChain(states[0], cfg)
+        chain.extend(states[1:-1])
+        blob = chain_to_bytes(chain)
+        payloads = _calls(monkeypatch, decode_delta_bytes)
+        decodes.clear()
+        rebuilt = list(chain_from_bytes(blob, cfg).iter_states())
+        assert len(payloads) == len(decodes) == len(chain) - 1
+        for got, want in zip(rebuilt, chain.iter_states(), strict=True):
+            np.testing.assert_array_equal(got, want)
+        payloads.clear()
+        decodes.clear()
+        loaded = chain_from_bytes(blob, cfg)
+        loaded.append(states[-1])
+        assert len(payloads) == len(decodes) == len(chain) - 1
 
     def test_load_decodes_nothing_read_decodes_once(self, tmp_path, rng,
                                                     decodes):
@@ -308,6 +338,57 @@ class TestResume:
         chain.append(states[4])
         prefix.append(states[4])
         assert chain_to_bytes(chain) == chain_to_bytes(prefix)
+
+
+class TestChainOwnsPayloads:
+    """A chain encodes each delta's payload once, at append; files and
+    savers only frame it."""
+
+    @staticmethod
+    def _adaptive_chain(rng, n_deltas=5):
+        cfg = NumarckConfig(nbits=8, strategy="equal_width", adaptive=True)
+        states = _trajectory_states(rng, n_deltas=n_deltas)
+        chain = CheckpointChain(states[0], cfg)
+        return chain, states[1:]
+
+    def test_append_encodes_once_savers_never(self, tmp_path, rng,
+                                              monkeypatch):
+        encodes = _calls(monkeypatch, encode_delta_bytes)
+        chain, states = self._adaptive_chain(rng)
+        chain.extend(states)
+        assert len(encodes) == len(states)
+        assert any(d.model_reused for d in chain.deltas)
+        encodes.clear()
+        blob = chain_to_bytes(chain)
+        save_chain(tmp_path / "c.nmk", chain)
+        save_chains(tmp_path / "m.nmk", {"a": chain, "b": chain})
+        assert encodes == []
+        assert (tmp_path / "c.nmk").read_bytes() == blob
+        assert chain_to_bytes(chain_from_bytes(blob)) == blob
+
+    def test_append_scan_and_cut_parse_no_payload(self, tmp_path, rng,
+                                                  monkeypatch):
+        a, states = self._adaptive_chain(rng)
+        a.extend(states)
+        b = CheckpointChain(states[0] * 3.0, a.config)
+        b.extend([s * 3.0 for s in states])
+        path, saved = tmp_path / "m.nmk", tmp_path / "saved.nmk"
+        save_chains(saved, {"a": a, "b": b})
+        path.write_bytes(saved.read_bytes())
+        parsed = [_calls(monkeypatch, fn) for fn in
+                  (decode_delta_bytes, decode_full_bytes, peek_delta_table)]
+        with CheckpointFile.append(path) as f:
+            assert f.n_records == 2 * len(a)
+            f.truncate_records(4)       # both fulls and both first deltas
+            for i in range(1, len(a) - 1):
+                f.write_delta(a.payloads[i], name="a")
+                f.write_delta(b.payloads[i], name="b")
+            with pytest.raises(FormatError, match="already"):
+                f.write_full(states[0], name="a")
+            with pytest.raises(FormatError, match="no full"):
+                f.write_delta(a.payloads[0], name="c")
+        assert parsed == [[], [], []]
+        assert path.read_bytes() == saved.read_bytes()
 
 
 @settings(max_examples=20, deadline=None)

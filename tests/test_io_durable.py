@@ -142,11 +142,11 @@ class TestDurableSave:
 
         # Corrupt the *chain object* so the save blows up mid-write.
         class Boom:
-            def __getattr__(self, name):
-                raise RuntimeError("encoder exploded")
+            def __len__(self):
+                raise RuntimeError("payload exploded")
 
         broken = CheckpointChain(data, NumarckConfig(error_bound=1e-3))
-        broken._deltas = [Boom()]  # noqa: SLF001
+        broken._payloads = [Boom()]  # noqa: SLF001
         with pytest.raises(RuntimeError):
             save_chain(path, broken)
         assert path.read_bytes() == before

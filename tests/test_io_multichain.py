@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import CheckpointChain, FormatError, NumarckConfig, encode_pair
-from repro.io import (CheckpointFile, load_chain, load_chains, save_chain,
-                      save_chains)
+from repro.io import (CheckpointFile, encode_delta_bytes, load_chain,
+                      load_chains, save_chain, save_chains)
 from repro.simulations.flash import FlashSimulation
 
 
@@ -87,7 +87,7 @@ class TestWriter:
         enc = encode_pair(prev, prev * 1.01, NumarckConfig())[0]
         with CheckpointFile.create(tmp_path / "w.nmk") as w:
             with pytest.raises(FormatError, match="no full"):
-                w.write_delta(enc, name="a")
+                w.write_delta(encode_delta_bytes(enc), name="a")
 
     def test_interleaved_streaming_write(self, tmp_path, rng):
         """Write the way an in-situ integration would: iteration by
@@ -103,8 +103,10 @@ class TestWriter:
             for _ in range(2):
                 na = ca * (1 + rng.normal(0, 0.002, 500))
                 nb = cb * (1 + rng.normal(0, 0.002, 500))
-                w.write_delta(encode_pair(ca, na, cfg)[0], name="a")
-                w.write_delta(encode_pair(cb, nb, cfg)[0], name="b")
+                w.write_delta(encode_delta_bytes(encode_pair(ca, na, cfg)[0]),
+                              name="a")
+                w.write_delta(encode_delta_bytes(encode_pair(cb, nb, cfg)[0]),
+                              name="b")
                 ca, cb = na, nb
         loaded = load_chains(path)
         assert len(loaded["a"]) == 3 and len(loaded["b"]) == 3

@@ -194,8 +194,8 @@ class TestAppendMode:
         save_chain(p, prefix)
         with CheckpointFile.append(p) as writer:
             assert writer.n_records == 1
-            for enc in chain.deltas:
-                writer.write_delta(enc)
+            for payload in chain.payloads:
+                writer.write_delta(payload)
             assert writer.n_records == len(chain)
         assert p.read_bytes() == blob
 
@@ -208,7 +208,7 @@ class TestAppendMode:
             assert writer.n_records == len(chain) - 1
             assert writer.salvage.records_dropped == 1
             assert writer.salvage.bytes_truncated > 0
-            writer.write_delta(chain.deltas[-1])
+            writer.write_delta(chain.payloads[-1])
         assert p.read_bytes() == blob
         np.testing.assert_array_equal(load_chain(p).reconstruct(),
                                       chain.reconstruct())
@@ -257,8 +257,9 @@ class TestAppendMode:
         save_chain(p, chain)
         with CheckpointFile.append(p) as writer:
             writer.truncate_records(3)
-            writer.write_delta(chain.deltas[2])
-        kept = CheckpointChain.resume(chain.full_checkpoint, chain.deltas[:3])
+            writer.write_delta(chain.payloads[2])
+        kept = CheckpointChain.resume(chain.full_checkpoint,
+                                      chain.payloads[:3])
         assert p.read_bytes() == chain_to_bytes(kept)
 
     def test_truncate_records_bounds(self, saved, tmp_path):
@@ -290,8 +291,8 @@ class TestChainWriter:
 
         monkeypatch.setattr(CheckpointFile, "_write", flaky)
         monkeypatch.setattr(CheckpointFile, "append", None)  # no re-open
-        for delta in chain.deltas:
-            retry_io(lambda d=delta: writer.write_delta(d),
+        for payload in chain.payloads:
+            retry_io(lambda p=payload: writer.write_delta(p),
                      sleep=lambda _: None)
         writer.close()
         assert not fail
@@ -323,10 +324,10 @@ class TestChainWriter:
 
         monkeypatch.setattr(CheckpointFile, "_write", half_then_fail)
         with pytest.raises(OSError):
-            writer.write_delta(chain.deltas[0])
+            writer.write_delta(chain.payloads[0])
         monkeypatch.setattr(CheckpointFile, "_write", original)
-        for delta in chain.deltas:
-            writer.write_delta(delta)
+        for payload in chain.payloads:
+            writer.write_delta(payload)
         writer.close()
         assert p.read_bytes() == blob
 

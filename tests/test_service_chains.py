@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 
 from repro import Codec, NumarckConfig
+from repro.core import checkpoint
 from repro.errors import NumarckError
 from repro.io import chain_from_bytes, chain_to_bytes, container, load_chain
 from repro.io.container import CheckpointFile
+from repro.restart.faults import DiskFaultInjector
 from repro.service import ServiceClient, ServiceConfig, ServiceServer
 from repro.service.app import CompressionService
 from repro.service.wire import pack_arrays
@@ -162,6 +164,44 @@ class TestPersistFailure:
                 == expected
 
 
+    @pytest.mark.parametrize("fault", ["torn", "raise"])
+    def test_failed_persist_serves_acknowledged_states(
+            self, tmp_path, monkeypatch, fault):
+        # The fourth record write (the third delta) fails with no OSError
+        # to roll back: a torn write that lands half the record and then
+        # "crashes", or a plain exception.  The job fails and the chain
+        # holds only the acknowledged states, live and after a restart,
+        # which then appends on past the torn bytes.
+        cfg = NumarckConfig.from_dict({**CFG, "reference": "reconstructed"})
+        states = make_states(7, iterations=5)
+        store = tmp_path / "s"
+        acknowledged, expected = direct(states[:3], cfg), direct(states, cfg)
+        disk = DiskFaultInjector(torn_at=(4,) if fault == "torn" else ())
+        writes = []
+
+        def faulty(self, data):
+            writes.append(len(data))
+            if fault == "raise" and len(writes) == 4:
+                raise ValueError("injected fault while persisting")
+            disk.hook(self._fh, data)
+
+        monkeypatch.setattr(CheckpointFile, "_write", faulty)
+        with CompressionService(durable(store, cfg=cfg)) as svc:
+            compress_all(svc, "c", states[:3])
+            job = svc.submit_compress("c", pack_arrays([states[3]]))
+            assert svc.queue.wait(job.id, timeout=30).state == "failed"
+            assert svc.chain_stats("c")["iterations"] == 3
+            assert svc.chain_container("c") == acknowledged
+        if fault == "torn":
+            assert (store / "c.nmk").stat().st_size > len(acknowledged)
+        with CompressionService(durable(store, cfg=cfg)) as svc:
+            assert svc.chain_stats("c")["iterations"] == 3
+            assert svc.chain_container("c") == acknowledged
+            compress_all(svc, "c", states[3:])
+            assert svc.chain_container("c") == expected
+        assert (store / "c.nmk").read_bytes() == expected
+
+
 class _NoTruncate:
     """File proxy whose ``truncate`` fails, like a rollback on a failing
     disk."""
@@ -192,7 +232,8 @@ class TestDownload:
         with CompressionService(config) as svc:
             compress_all(svc, "c", states)
             monkeypatch.setattr(container, "_write_chains", _no_encode)
-            monkeypatch.setattr(container, "encode_delta_bytes", _no_encode)
+            # The chain builds every record payload; nothing else encodes.
+            monkeypatch.setattr(checkpoint, "encode_delta_bytes", _no_encode)
             assert svc.chain_container("c") == expected
 
     def test_torn_tail_served_as_recovered(self, tmp_path):
