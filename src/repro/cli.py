@@ -52,6 +52,7 @@ from repro.core import CheckpointChain, NumarckConfig
 from repro.core.metrics import compression_ratio_paper
 from repro.io.container import (CheckpointFile, ChainWriter, resume_chains,
                                 save_chain, save_chains)
+from repro.io.format import last_delta_head
 
 __all__ = ["main"]
 
@@ -163,10 +164,10 @@ def _cmd_append(args: argparse.Namespace) -> int:
     depth = min(1 + len(payloads) for _full, payloads in stored.values())
     stored = {v: (full, payloads[:depth - 1])
               for v, (full, payloads) in stored.items()}
+    # The last delta's head says what the chain was encoded with.
     fallback = None
-    full, payloads = next(iter(stored.values()))
-    if payloads:
-        last = CheckpointChain.resume(full, payloads).deltas[-1]
+    last = last_delta_head(next(iter(stored.values()))[1])
+    if last is not None:
         fallback = NumarckConfig(error_bound=last.error_bound,
                                  nbits=last.nbits, strategy=last.strategy)
     chains = resume_chains(stored, _config_from_args(args, fallback))

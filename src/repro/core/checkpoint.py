@@ -4,9 +4,11 @@ A chain starts from a full, exact checkpoint ``D_0`` and appends one
 encoded delta per subsequent iteration.  Restart reads the full checkpoint
 and replays deltas in order.
 
-Each delta is held as its record payload, built once at append.  The
-chain decides its table references (a reuse hit whose table equals the
-previous delta's references it); files only frame the payloads.
+Every record is held as its payload, built once: the full checkpoint's
+at construction (the chain's ``D_0`` is a read-only view into it), each
+delta's at append.  The chain decides its table references (a reuse hit
+whose table equals the previous delta's references it); files only
+frame the payloads.
 
 Two reference modes (see :class:`~repro.core.config.NumarckConfig`):
 
@@ -32,18 +34,17 @@ from repro.core.encoder import EncodedIteration, encode_pair
 from repro.core.metrics import CompressionStats, compression_stats
 from repro.core.strategies.base import BinModel
 from repro.errors import FormatError
-from repro.io.format import (decode_delta_bytes, encode_delta_bytes,
-                             peek_delta_table)
+from repro.io.format import (decode_delta_bytes, decode_full_bytes,
+                             encode_delta_bytes, encode_full_bytes,
+                             last_delta_head)
 
 __all__ = ["CheckpointChain"]
 
 
 def _last_table(payloads: Sequence[bytes]) -> np.ndarray | None:
     """The last delta's table (``None`` for none), from the heads alone."""
-    table = None
-    for payload in payloads:
-        table = peek_delta_table(payload, table)
-    return table
+    head = last_delta_head(payloads)
+    return None if head is None else head.representatives
 
 
 class CheckpointChain:
@@ -60,13 +61,13 @@ class CheckpointChain:
 
     def __init__(self, full_checkpoint: np.ndarray,
                  config: NumarckConfig | None = None) -> None:
-        self._start(np.array(full_checkpoint, dtype=np.float64, copy=True),
-                    config, [])
+        self._start(encode_full_bytes(full_checkpoint), config, [])
 
-    def _start(self, full: np.ndarray, config: NumarckConfig | None,
+    def _start(self, full_payload: bytes, config: NumarckConfig | None,
                payloads: list[bytes]) -> None:
         self.config = config if config is not None else NumarckConfig()
-        self._full = full
+        self._full_payload = full_payload
+        self._full = decode_full_bytes(full_payload)
         self._payloads = payloads
         # The last delta's table: the one a reuse-hit delta may reference.
         self._table = _last_table(payloads)
@@ -81,14 +82,14 @@ class CheckpointChain:
             self._adaptive.seed(BinModel(self._table))
 
     @classmethod
-    def resume(cls, full_checkpoint: np.ndarray, payloads: Sequence[bytes],
+    def resume(cls, full_payload: bytes, payloads: Sequence[bytes],
                config: NumarckConfig | None = None) -> "CheckpointChain":
-        """A chain already holding delta ``payloads`` (e.g. read from a
-        file), taking ``full_checkpoint`` uncopied.  Only the payload heads
-        are read, for the last table, so model reuse resumes after a load."""
+        """A chain already holding its full record's ``full_payload`` and
+        delta ``payloads`` (e.g. read from a file), taking them uncopied.
+        Only the delta heads are read, for the last table, so model reuse
+        resumes after a load."""
         chain = cls.__new__(cls)
-        chain._start(np.asarray(full_checkpoint, dtype=np.float64), config,
-                     list(payloads))
+        chain._start(full_payload, config, list(payloads))
         return chain
 
     # -- writing ----------------------------------------------------------
@@ -179,6 +180,12 @@ class CheckpointChain:
     @property
     def full_checkpoint(self) -> np.ndarray:
         return self._full.copy()
+
+    @property
+    def full_payload(self) -> bytes:
+        """The full checkpoint's record payload, as written to a chain
+        file."""
+        return self._full_payload
 
     @property
     def payloads(self) -> tuple[bytes, ...]:

@@ -19,7 +19,7 @@ High-level API::
     chains = load_chains(path)              # -> {"dens": ..., "pres": ...}
 
     with CheckpointFile.create(path) as f:  # streaming writer
-        f.write_full(d0)                    # or write_full(d0, name="dens")
+        f.write_full(chain.full_payload)    # or write_full(p, name="dens")
         f.write_delta(chain.payloads[0])    # or write_delta(p, name="dens")
 
     with CheckpointFile.append(path) as f:  # crash-consistent appends

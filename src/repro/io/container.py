@@ -18,8 +18,9 @@ Tags:
   (:mod:`repro.io.streamed`).
 
 The CRC covers tag + length + payload, so any bit flip or truncation in a
-record is caught.  Records are strictly appended.  A delta record holds
-the payload its chain built: it is framed, never decoded, here.
+record is caught.  Records are strictly appended.  A chain record holds
+the payload its chain built: it is framed, never encoded or decoded,
+here.
 
 Durability model
 ----------------
@@ -48,18 +49,10 @@ import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator
 
-import numpy as np
-
 from repro.core.config import NumarckConfig
 from repro.errors import FormatError, SalvageError, SalvageReport
 from repro.io.durable import atomic_write, retry_io
-from repro.io.format import (
-    FORMAT_VERSION,
-    MAGIC,
-    SUPPORTED_VERSIONS,
-    decode_full_bytes,
-    encode_full_bytes,
-)
+from repro.io.format import FORMAT_VERSION, MAGIC, SUPPORTED_VERSIONS
 from repro.telemetry.tracer import get_telemetry
 
 if TYPE_CHECKING:  # the chain imports the codec, whose package imports us
@@ -82,9 +75,10 @@ HEADER_SIZE = 6
 #: injection).
 WriteHook = Callable[[BinaryIO, bytes], None]
 
-#: what :meth:`CheckpointFile.read_chains` returns: ``(full, payloads)``
-#: per chain, keyed by variable name (``None`` for a single-chain file).
-Chains = dict[str | None, tuple[np.ndarray, list[bytes]]]
+#: what :meth:`CheckpointFile.read_chains` returns: ``(full_payload,
+#: payloads)`` per chain, keyed by variable name (``None`` for a
+#: single-chain file).
+Chains = dict[str | None, tuple[bytes, list[bytes]]]
 
 
 class _ScanFailure(Exception):
@@ -151,7 +145,7 @@ def _iter_frames(fh: BinaryIO) -> Iterator[tuple[bytes, bytes]]:
         if len(crc_bytes) < 4:
             raise _ScanFailure(offset, "truncated record CRC", tail=True)
         (crc,) = struct.unpack("<I", crc_bytes)
-        if zlib.crc32(head + payload) & 0xFFFFFFFF != crc:
+        if zlib.crc32(payload, zlib.crc32(head)) != crc:
             raise _ScanFailure(offset,
                                f"CRC mismatch in record (tag {tag!r})",
                                tail=fh.tell() == file_size)
@@ -398,9 +392,9 @@ class CheckpointFile:
         """
         if self._mode != "w":
             raise FormatError("file opened for reading")
-        frame = tag + struct.pack("<Q", len(payload)) + payload
-        crc = zlib.crc32(frame) & 0xFFFFFFFF
-        data = frame + struct.pack("<I", crc)
+        head = tag + struct.pack("<Q", len(payload))
+        crc = zlib.crc32(payload, zlib.crc32(head))
+        data = b"".join((head, payload, struct.pack("<I", crc)))
         start = self._record_ends[-1]
         tel = get_telemetry()
         with tel.span("io.write_record", tag=tag.decode("ascii", "replace"),
@@ -455,12 +449,12 @@ class CheckpointFile:
         del self._record_ends[n + 1:]
         self._fulls = {k: i for k, i in self._fulls.items() if i < n}
 
-    def write_full(self, data: np.ndarray, name: str | None = None) -> None:
-        """Append an exact full-checkpoint record (of variable ``name``)."""
+    def write_full(self, payload: bytes, name: str | None = None) -> None:
+        """Append a full-checkpoint record (of variable ``name``) framing
+        ``payload``, as its chain built it."""
         if name is not None and name in self._fulls:
             raise FormatError(f"variable {name!r} already has a full record")
-        self.write_record(*_tagged(name, TAG_FULL, TAG_NAMED_FULL,
-                                   encode_full_bytes(data)))
+        self.write_record(*_tagged(name, TAG_FULL, TAG_NAMED_FULL, payload))
         self._fulls[name] = self.n_records - 1
 
     def write_delta(self, payload: bytes, name: str | None = None) -> None:
@@ -501,7 +495,8 @@ class CheckpointFile:
             yield tag, payload
 
     def read_chains(self, strict: bool = True) -> Chains:
-        """Read every chain in the file as ``{name: (full, payloads)}``.
+        """Read every chain in the file as ``{name: (full_payload,
+        payloads)}``, parsing no payload.
 
         A single-chain file (FULL/DELT records) reads as ``{None: ...}``,
         a multi-variable file (NFUL/NDEL records) as one entry per
@@ -521,7 +516,7 @@ class CheckpointFile:
             if is_full:
                 if name in chains:
                     raise FormatError(f"second FULL record for {what}")
-                chains[name] = (decode_full_bytes(body), [])
+                chains[name] = (bytes(body), [])
             elif name not in chains:
                 raise FormatError(f"{tag.decode()} record before FULL "
                                   f"record for {what}")
@@ -533,8 +528,7 @@ class CheckpointFile:
 
 
 class ChainWriter:
-    """The held append writer of one chain file, or of a buffer
-    (``path=None``, never closed).
+    """The held append writer of one chain file.
 
     ``committed`` counts the file's records the caller's chains share.
     With ``0`` the first write creates the file; otherwise it opens it
@@ -546,21 +540,19 @@ class ChainWriter:
     committed container length.
     """
 
-    def __init__(self, path: str | Path | None, committed: int = 0, *,
+    def __init__(self, path: str | Path, committed: int = 0, *,
                  end: int = HEADER_SIZE,
                  write_hook: WriteHook | None = None,
                  sync: bool = True) -> None:
-        self.path = Path(path) if path is not None else None
+        self.path = Path(path)
         self.committed = committed
         self.end = end
         self._opts = {"write_hook": write_hook, "sync": sync}
-        self._buf = io.BytesIO() if path is None else None
-        self._writer = (CheckpointFile.from_handle(self._buf)
-                        if self._buf is not None else None)
+        self._writer: CheckpointFile | None = None
 
-    def write_full(self, data: np.ndarray, name: str | None = None) -> None:
+    def write_full(self, payload: bytes, name: str | None = None) -> None:
         """Commit a full record, as :meth:`CheckpointFile.write_full`."""
-        self._write(lambda w: w.write_full(data, name))
+        self._write(lambda w: w.write_full(payload, name))
 
     def write_delta(self, payload: bytes, name: str | None = None) -> None:
         """Commit a delta record, as :meth:`CheckpointFile.write_delta`."""
@@ -577,8 +569,7 @@ class ChainWriter:
             write(self._writer)
         except BaseException as exc:
             w = self._writer
-            if self._buf is None and not (
-                    isinstance(exc, OSError) and self.committed and w
+            if not (isinstance(exc, OSError) and self.committed and w
                     and not w.torn and w.n_records == self.committed):
                 self.close()
                 if self.committed == 0:
@@ -590,22 +581,20 @@ class ChainWriter:
 
     def container_bytes(self) -> bytes:
         """The committed container: never a torn or rolled-back record."""
-        if self._buf is not None:
-            return self._buf.getvalue()[:self.end]
         with open(self.path, "rb") as fh:
             return fh.read(self.end)
 
     def close(self) -> None:
-        """Close a file's writer (best effort: its records are already
+        """Close the file's writer (best effort: its records are already
         written); the next write re-opens the file."""
-        if self._buf is None and self._writer is not None:
+        if self._writer is not None:
             writer, self._writer = self._writer, None
             with contextlib.suppress(OSError):
                 writer.close()
 
 
 def _single_chain(chains: Chains, source: str | Path
-                  ) -> tuple[np.ndarray, list[bytes]]:
+                  ) -> tuple[bytes, list[bytes]]:
     if None not in chains:
         raise FormatError(f"{source}: multi-variable file ({len(chains)} "
                           f"variables); read it with load_chains")
@@ -647,7 +636,7 @@ def _write_chains(f: CheckpointFile,
     chain's delta 1, then delta 2, ...) -- the order an in-situ writer
     appends them in."""
     for name, chain in chains.items():
-        f.write_full(chain.full_checkpoint, name)
+        f.write_full(chain.full_payload, name)
     payloads = {name: chain.payloads for name, chain in chains.items()}
     for i in range(max(map(len, payloads.values()))):
         for name, held in payloads.items():

@@ -34,6 +34,7 @@ carry them) read back unchanged.
 from __future__ import annotations
 
 import struct
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,7 +50,8 @@ __all__ = [
     "decode_full_bytes",
     "encode_delta_bytes",
     "decode_delta_bytes",
-    "peek_delta_table",
+    "DeltaHead",
+    "last_delta_head",
 ]
 
 MAGIC = b"NMRK"
@@ -78,13 +80,14 @@ def _unpack_dims(buf: memoryview, off: int) -> tuple[tuple[int, ...], int]:
 
 
 def encode_full_bytes(data: np.ndarray) -> bytes:
-    """Serialise an exact full checkpoint array."""
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    return _pack_dims(arr.shape) + arr.tobytes()
+    """Serialise an exact full checkpoint array, copying its data once."""
+    arr = np.ascontiguousarray(data, dtype="<f8")
+    return b"".join((_pack_dims(arr.shape), arr.data))
 
 
 def decode_full_bytes(payload: bytes) -> np.ndarray:
-    """Inverse of :func:`encode_full_bytes`."""
+    """Inverse of :func:`encode_full_bytes`: a view into ``payload``
+    (read-only for ``bytes``), copying nothing."""
     buf = memoryview(payload)
     try:
         shape, off = _unpack_dims(buf, 0)
@@ -96,8 +99,7 @@ def decode_full_bytes(payload: bytes) -> np.ndarray:
         raise FormatError(
             f"full-checkpoint payload too short: need {need} bytes, have {len(payload)}"
         )
-    data = np.frombuffer(buf[off : off + 8 * n], dtype="<f8").copy()
-    return data.reshape(shape)
+    return np.frombuffer(buf[off : off + 8 * n], dtype="<f8").reshape(shape)
 
 
 def _pack_point_tail(indices: np.ndarray, incompressible: np.ndarray,
@@ -249,10 +251,24 @@ def decode_delta_bytes(payload: bytes,
     )
 
 
-def peek_delta_table(payload: bytes,
-                     prev_reps: np.ndarray | None = None) -> np.ndarray:
-    """Representative table of a serialised delta, parsing only its head
-    (``prev_reps`` as in :func:`decode_delta_bytes`); a resumed or cut
-    chain walks its payloads with it for the table its next delta may
-    reference."""
-    return _delta_head(payload, prev_reps)[6]
+class DeltaHead(NamedTuple):
+    """The head of a delta payload: what it was encoded with, and its
+    representative table (a table reference resolved)."""
+
+    nbits: int
+    strategy: str
+    error_bound: float
+    representatives: np.ndarray
+
+
+def last_delta_head(payloads: Sequence[bytes]) -> DeltaHead | None:
+    """The :class:`DeltaHead` of the last of a chain's delta ``payloads``
+    (``None`` for none), parsing only their heads: a resumed or cut chain
+    reads from it the table its next delta may reference."""
+    head = None
+    for payload in payloads:
+        _buf, nbits, _flags, strategy, error_bound, _shape, reps, _off = \
+            _delta_head(payload, None if head is None
+                        else head.representatives)
+        head = DeltaHead(int(nbits), strategy, float(error_bound), reps)
+    return head

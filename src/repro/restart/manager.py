@@ -98,7 +98,7 @@ class RestartManager(VariableSet):
                             path_fn(v), self._committed.get(v, 0),
                             write_hook=write_hook, sync=sync)
                     while w.committed < len(chain):
-                        retry_io(lambda: w.write_full(chain.full_checkpoint)
+                        retry_io(lambda: w.write_full(chain.full_payload)
                                  if w.committed == 0 else
                                  w.write_delta(payloads[w.committed - 1]))
                         appended += 1

@@ -8,16 +8,18 @@ every later job appends an encoded delta.  Each chain wraps one live
 *jobs* exactly as it is carried across iterations in a single process --
 the model hint rides on the chain, not on the request.
 
-Each chain holds one :class:`~repro.io.container.ChainWriter` -- over
-its file with a ``store_dir``, else over a buffer -- which frames the
-payload the chain built at append, so an append costs the same at any
-chain length.  A download serves the writer's committed container: never
-a re-encode, a torn tail or a record whose rollback failed.  With a
-``store_dir`` each record is fsynced before its job is acknowledged, and
-start-up re-opens stored chains with ``recover="tail"``: a crash costs
-the torn record, never the chain.  A recovered chain decodes nothing;
-its first delta re-opens the file, the one scan per server lifetime.
-The chain takes a state only once its record is written.
+The chain builds every record payload once.  Without a ``store_dir``
+the ``CheckpointChain`` is all a chain holds, and a download frames its
+payloads.  With one, each chain holds one
+:class:`~repro.io.container.ChainWriter` over its file, which frames the
+payload the chain built, so an append costs the same at any chain
+length; each record is fsynced before its job is acknowledged, and the
+chain takes a state only once its record is written.  A durable download
+serves the file's committed prefix: never a re-encode, a torn tail or a
+record whose rollback failed.  Start-up re-opens stored chains with
+``recover="tail"``: a crash costs the torn record, never the chain.  A
+recovered chain decodes nothing; its first delta re-opens the file, the
+one scan per server lifetime.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
 from repro.errors import ChainNotFoundError, ConfigError, StateError
-from repro.io.container import ChainWriter, load_chain
+from repro.io.container import ChainWriter, chain_to_bytes, load_chain
 from repro.telemetry.tracer import get_telemetry
 
 __all__ = ["Chain", "ChainRegistry"]
@@ -52,9 +54,10 @@ def _validate_id(chain_id: str) -> str:
 
 class Chain:
     """One tenant chain: a live ``CheckpointChain`` plus its lock, path,
-    writer and counters.  All mutation happens under :attr:`lock`, which
-    the registry hands to the job closure -- two jobs on the same chain
-    serialise, jobs on different chains run concurrently."""
+    writer (``None`` without a path) and counters.  All mutation happens
+    under :attr:`lock`, which the registry hands to the job closure -- two
+    jobs on the same chain serialise, jobs on different chains run
+    concurrently."""
 
     def __init__(self, chain_id: str, config: NumarckConfig,
                  path: Path | None) -> None:
@@ -63,7 +66,7 @@ class Chain:
         self.path = path
         self.lock = threading.RLock()
         self.chain: CheckpointChain | None = None
-        self._writer = ChainWriter(path)
+        self._writer = ChainWriter(path) if path is not None else None
         self.jobs_accepted = 0
         self.bytes_in = 0
 
@@ -87,20 +90,23 @@ class Chain:
 
     def append_state(self, state: np.ndarray) -> dict[str, Any]:
         """Absorb one iteration: full checkpoint if the chain is empty,
-        encoded delta otherwise.  Returns a result summary dict.  The
-        record is written before the chain takes the state; a failed
-        write leaves the chain as it was and propagates."""
+        encoded delta otherwise.  Returns a result summary dict.  A
+        durable chain writes the record before the chain takes the state;
+        a failed write leaves the chain as it was and propagates."""
         arr = np.asarray(state, dtype=np.float64)
         with self.lock, get_telemetry().span(
                 "service.chain.append", chain=self.id,
                 bytes_in=arr.nbytes) as sp:
+            w = self._writer
             if self.chain is None:
-                self._writer.write_full(arr)
-                self.chain = CheckpointChain(arr, self.config)
+                chain = CheckpointChain(arr, self.config)
+                if w is not None:
+                    w.write_full(chain.full_payload)
+                self.chain = chain
                 kind, reused = "full", False
             else:
-                stats = self.chain.append(arr,
-                                          persist=self._writer.write_delta)
+                stats = self.chain.append(
+                    arr, persist=None if w is None else w.write_delta)
                 kind, reused = "delta", stats.model_reused
             self.jobs_accepted += 1
             self.bytes_in += arr.nbytes
@@ -112,16 +118,20 @@ class Chain:
 
     def close(self) -> None:
         """Close a durable chain's writer; the next append re-opens the
-        file.  A buffer's writer stays: it holds the only container."""
+        file."""
         with self.lock:
-            self._writer.close()
+            if self._writer is not None:
+                self._writer.close()
 
     def container_bytes(self) -> bytes:
-        """The committed container prefix, as stored: byte-identical to
-        ``save_chain`` of the chain, never a torn or rolled-back record."""
+        """The chain's container, byte-identical to ``save_chain`` of it:
+        a durable chain's committed file prefix, as stored (never a torn
+        or rolled-back record); an in-memory chain's payloads, framed."""
         with self.lock:
             if self.chain is None:
                 raise StateError(f"chain {self.id!r} holds no checkpoints yet")
+            if self._writer is None:
+                return chain_to_bytes(self.chain)
             return self._writer.container_bytes()
 
     def stats(self) -> dict[str, Any]:

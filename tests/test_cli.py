@@ -10,8 +10,8 @@ import pytest
 
 from repro.cli import main
 from repro.core import CheckpointChain, NumarckConfig
-from repro.io import (chain_to_bytes, load_chain, load_chains, save_chain,
-                      save_chains)
+from repro.io import (chain_to_bytes, decode_delta_bytes, load_chain,
+                      load_chains, save_chain, save_chains)
 from repro.telemetry import Telemetry, use
 
 
@@ -138,6 +138,39 @@ class TestAppendInPlace:
             # appended records include table references.
             assert any(d.model_reused for d in load_chain(chain).deltas)
 
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["fixed", "adaptive"])
+    def test_append_decodes_each_stored_delta_once(self, tmp_path, rng,
+                                                   monkeypatch, adaptive):
+        # The stored config comes from the last delta's head; only the
+        # append's reference state decodes the deltas.
+        cfg = NumarckConfig(error_bound=1e-3, nbits=9, strategy="log_scale",
+                            adaptive=adaptive)
+        states = [rng.uniform(1.0, 2.0, 2000)]
+        for _ in range(8):
+            states.append(states[-1] * (1 + rng.normal(0, 2e-3, 2000)))
+        chain = CheckpointChain(states[0], cfg)
+        chain.extend(states[1:8])
+        save_chain(tmp_path / "c.nmk", chain)
+        np.save(tmp_path / "s.npy", states[8])
+        decodes, decode = [], decode_delta_bytes
+
+        def counting(*args, **kwargs):
+            decodes.append(args)
+            return decode(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "decode_delta_bytes", None) \
+                    is decode_delta_bytes:
+                monkeypatch.setattr(module, "decode_delta_bytes", counting)
+        assert main(["append", str(tmp_path / "c.nmk"),
+                     str(tmp_path / "s.npy")]) == 0
+        assert len(decodes) == 7
+        loaded = load_chain(tmp_path / "c.nmk")
+        assert len(loaded) == 9
+        assert {(d.error_bound, d.nbits, d.strategy)
+                for d in loaded.deltas} == {(1e-3, 9, "log_scale")}
+
     def test_append_cuts_incomplete_checkpoint(self, tmp_path, rng):
         # Variable ``a`` holds one more iteration than ``b``, as a crash
         # between the two records of an append leaves it: the next append
@@ -210,14 +243,15 @@ class TestErrors:
         """A single-chain file whose DELT precedes its FULL is reported as
         exactly that, not as a malformed multi-variable file."""
         from repro.core import NumarckConfig, encode_pair
-        from repro.io import CheckpointFile, encode_delta_bytes
+        from repro.io import (CheckpointFile, encode_delta_bytes,
+                              encode_full_bytes)
 
         prev, curr = np.load(arrays[0]), np.load(arrays[1])
         path = tmp_path / "d.nmk"
         with CheckpointFile.create(path) as f:
             f.write_delta(encode_delta_bytes(
                 encode_pair(prev, curr, NumarckConfig())[0]))
-            f.write_full(prev)
+            f.write_full(encode_full_bytes(prev))
         assert main(["inspect", str(path)]) == 1
         err = capsys.readouterr().err
         assert "before FULL" in err

@@ -64,7 +64,7 @@ class TestDiskFaultInjector:
         path = tmp_path / "c.nmk"
         disk = DiskFaultInjector(torn_at=(2,), torn_fraction=0.4)
         writer = CheckpointFile.create(path, write_hook=disk.hook, sync=True)
-        writer.write_full(chain.full_checkpoint)
+        writer.write_full(chain.full_payload)
         with pytest.raises(CrashDuringWrite):
             writer.write_delta(chain.payloads[0])
         writer.close()
@@ -82,7 +82,7 @@ class TestDiskFaultInjector:
         path = tmp_path / "c.nmk"
         disk = DiskFaultInjector(flip_at=(1,))
         with CheckpointFile.create(path, write_hook=disk.hook) as writer:
-            writer.write_full(chain.full_checkpoint)
+            writer.write_full(chain.full_payload)
         with pytest.raises(FormatError):
             load_chain(path)
 
@@ -92,11 +92,11 @@ class TestDiskFaultInjector:
         disk = DiskFaultInjector(error_at=(1,))
         writer = CheckpointFile.create(path, write_hook=disk.hook, sync=True)
         with pytest.raises(OSError) as excinfo:
-            writer.write_full(chain.full_checkpoint)
+            writer.write_full(chain.full_payload)
         assert excinfo.value.errno == errno.EIO
         # The failed write rolled back; the retry succeeds and the file
         # is byte-exact.
-        writer.write_full(chain.full_checkpoint)
+        writer.write_full(chain.full_payload)
         writer.close()
         np.testing.assert_array_equal(load_chain(path).reconstruct(),
                                       chain.full_checkpoint)

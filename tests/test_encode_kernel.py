@@ -102,7 +102,7 @@ class TestPinnedMultiVariableBytes:
         path = tmp_path / "appended.nmk"
         with CheckpointFile.create(path) as w:
             for name, chain in chains.items():
-                w.write_full(chain.full_checkpoint, name=name)
+                w.write_full(chain.full_payload, name=name)
             for name, chain in chains.items():
                 w.write_delta(chain.payloads[0], name=name)
         with CheckpointFile.append(path) as w:

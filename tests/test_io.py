@@ -2,6 +2,7 @@
 
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from repro.io import (
     save_chain,
     save_chains,
 )
-from repro.io.format import peek_delta_table
+from repro.io.format import last_delta_head
 
 
 def _calls(monkeypatch, fn):
@@ -223,10 +224,10 @@ class TestContainer:
     def test_write_on_read_handle_rejected(self, tmp_path, rng):
         p = tmp_path / "c.nmk"
         with CheckpointFile.create(p) as f:
-            f.write_full(rng.normal(size=10))
+            f.write_full(encode_full_bytes(rng.normal(size=10)))
         with CheckpointFile.open(p) as f:
             with pytest.raises(FormatError):
-                f.write_full(rng.normal(size=10))
+                f.write_full(encode_full_bytes(rng.normal(size=10)))
 
 
 def _trajectory_states(rng, n_deltas, n=2000):
@@ -376,7 +377,7 @@ class TestChainOwnsPayloads:
         save_chains(saved, {"a": a, "b": b})
         path.write_bytes(saved.read_bytes())
         parsed = [_calls(monkeypatch, fn) for fn in
-                  (decode_delta_bytes, decode_full_bytes, peek_delta_table)]
+                  (decode_delta_bytes, decode_full_bytes, last_delta_head)]
         with CheckpointFile.append(path) as f:
             assert f.n_records == 2 * len(a)
             f.truncate_records(4)       # both fulls and both first deltas
@@ -384,11 +385,48 @@ class TestChainOwnsPayloads:
                 f.write_delta(a.payloads[i], name="a")
                 f.write_delta(b.payloads[i], name="b")
             with pytest.raises(FormatError, match="already"):
-                f.write_full(states[0], name="a")
+                f.write_full(a.full_payload, name="a")
             with pytest.raises(FormatError, match="no full"):
                 f.write_delta(a.payloads[0], name="c")
         assert parsed == [[], [], []]
         assert path.read_bytes() == saved.read_bytes()
+
+
+def _traced_peak(fn):
+    """``(fn(), peak bytes fn allocated)``, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneCopyPerRecord:
+    """A record is copied once where it is built, framed or parsed: a
+    1,000,000-point full checkpoint is an 8.0 MB record."""
+
+    @pytest.fixture(scope="class")
+    def d0(self):
+        return np.random.default_rng(0).uniform(1.0, 2.0, 1_000_000)
+
+    def test_chain_holds_its_full_record_once(self, d0):
+        chain, peak = _traced_peak(lambda: CheckpointChain(d0))
+        assert peak <= 1.1 * d0.nbytes
+        np.testing.assert_array_equal(chain.full_checkpoint, d0)
+
+    def test_framing_copies_once(self, d0):
+        chain = CheckpointChain(d0)
+        blob, peak = _traced_peak(lambda: chain_to_bytes(chain))
+        # The frame, and the stream buffer it is written to.
+        assert peak <= 2.1 * len(blob)
+
+    def test_parsing_copies_once(self, d0):
+        blob = chain_to_bytes(CheckpointChain(d0))
+        chain, peak = _traced_peak(lambda: chain_from_bytes(blob))
+        assert peak <= 1.1 * len(blob)
+        np.testing.assert_array_equal(chain.reconstruct(), d0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import CheckpointChain, FormatError, NumarckConfig, encode_pair
-from repro.io import (CheckpointFile, encode_delta_bytes, load_chain,
-                      load_chains, save_chain, save_chains)
+from repro.io import (CheckpointFile, encode_delta_bytes, encode_full_bytes,
+                      load_chain, load_chains, save_chain, save_chains)
 from repro.simulations.flash import FlashSimulation
 
 
@@ -78,9 +78,9 @@ class TestSaveLoad:
 class TestWriter:
     def test_duplicate_full_rejected(self, tmp_path, rng):
         with CheckpointFile.create(tmp_path / "w.nmk") as w:
-            w.write_full(rng.normal(size=10), name="a")
+            w.write_full(encode_full_bytes(rng.normal(size=10)), name="a")
             with pytest.raises(FormatError, match="already"):
-                w.write_full(rng.normal(size=10), name="a")
+                w.write_full(encode_full_bytes(rng.normal(size=10)), name="a")
 
     def test_delta_before_full_rejected(self, tmp_path, rng):
         prev = rng.uniform(1, 2, 50)
@@ -97,8 +97,8 @@ class TestWriter:
         b = rng.uniform(5, 6, 500)
         path = tmp_path / "s.nmk"
         with CheckpointFile.create(path) as w:
-            w.write_full(a, name="a")
-            w.write_full(b, name="b")
+            w.write_full(encode_full_bytes(a), name="a")
+            w.write_full(encode_full_bytes(b), name="b")
             ca, cb = a, b
             for _ in range(2):
                 na = ca * (1 + rng.normal(0, 0.002, 500))
@@ -116,7 +116,8 @@ class TestWriter:
     def test_long_name_rejected(self, tmp_path, rng):
         with CheckpointFile.create(tmp_path / "w.nmk") as w:
             with pytest.raises(FormatError, match="too long"):
-                w.write_full(rng.normal(size=10), name="x" * 300)
+                w.write_full(encode_full_bytes(rng.normal(size=10)),
+                             name="x" * 300)
 
     def test_corruption_detected(self, tmp_path, rng):
         path = tmp_path / "c.nmk"
@@ -130,8 +131,8 @@ class TestWriter:
     def test_mixed_named_and_unnamed_rejected(self, tmp_path, rng):
         path = tmp_path / "mix.nmk"
         with CheckpointFile.create(path) as w:
-            w.write_full(rng.normal(size=10), name="a")
-            w.write_full(rng.normal(size=10))
+            w.write_full(encode_full_bytes(rng.normal(size=10)), name="a")
+            w.write_full(encode_full_bytes(rng.normal(size=10)))
         with pytest.raises(FormatError, match="mixes"):
             load_chains(path)
 

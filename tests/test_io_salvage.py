@@ -258,7 +258,7 @@ class TestAppendMode:
         with CheckpointFile.append(p) as writer:
             writer.truncate_records(3)
             writer.write_delta(chain.payloads[2])
-        kept = CheckpointChain.resume(chain.full_checkpoint,
+        kept = CheckpointChain.resume(chain.full_payload,
                                       chain.payloads[:3])
         assert p.read_bytes() == chain_to_bytes(kept)
 
@@ -279,7 +279,7 @@ class TestChainWriter:
         path, blob, chain = saved
         p = tmp_path / "held.nmk"
         writer = ChainWriter(p)
-        writer.write_full(chain.full_checkpoint)
+        writer.write_full(chain.full_payload)
         fail = [True]
         original = CheckpointFile._write
 
@@ -303,7 +303,7 @@ class TestChainWriter:
         path, blob, chain = saved
         p = tmp_path / "torn.nmk"
         writer = ChainWriter(p)
-        writer.write_full(chain.full_checkpoint)
+        writer.write_full(chain.full_payload)
         original = CheckpointFile._write
 
         class NoTruncate:

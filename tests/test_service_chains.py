@@ -8,8 +8,10 @@ bytes as stored: never a torn or rolled-back record, never a re-encode.
 """
 
 import errno
+import gc
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.io.container import CheckpointFile
 from repro.restart.faults import DiskFaultInjector
 from repro.service import ServiceClient, ServiceConfig, ServiceServer
 from repro.service.app import CompressionService
+from repro.service.chains import Chain
 from repro.service.wire import pack_arrays
 
 CFG = {"error_bound": 1e-3, "nbits": 8, "strategy": "equal_width"}
@@ -231,9 +234,14 @@ class TestDownload:
         expected = direct(states)
         with CompressionService(config) as svc:
             compress_all(svc, "c", states)
-            monkeypatch.setattr(container, "_write_chains", _no_encode)
             # The chain builds every record payload; nothing else encodes.
             monkeypatch.setattr(checkpoint, "encode_delta_bytes", _no_encode)
+            if stored:
+                monkeypatch.setattr(container, "_write_chains", _no_encode)
+            else:
+                # An in-memory download frames the chain's held payloads.
+                monkeypatch.setattr(checkpoint, "encode_full_bytes",
+                                    _no_encode)
             assert svc.chain_container("c") == expected
 
     def test_torn_tail_served_as_recovered(self, tmp_path):
@@ -363,3 +371,30 @@ class TestCutKeepsTableReferences:
             compress_all(svc, "c", states[2:])
             assert svc.chain_container("c") == direct(states, cfg)
         assert (store / "c.nmk").read_bytes() == direct(states, cfg)
+
+
+class TestInMemoryChain:
+    def test_holds_each_record_once(self):
+        # An in-memory chain is its CheckpointChain: the memory its later
+        # appends retain is the payloads they add, not a second framed
+        # copy of them.
+        cfg = NumarckConfig.from_dict({**CFG, "nbits": 10, "adaptive": True})
+        states = make_states(4, n=12_960, iterations=20)
+        tracemalloc.start()
+        try:
+            chain = Chain("mem", cfg, None)
+            for state in states[:3]:
+                chain.append_state(state)
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            held = sum(map(len, chain.chain.payloads))
+            for state in states[3:]:
+                chain.append_state(state)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        added = sum(map(len, chain.chain.payloads)) - held
+        assert len(chain.chain) == len(states)
+        assert grown <= 1.15 * added
+        assert chain.container_bytes() == direct(states, cfg)

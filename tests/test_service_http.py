@@ -6,6 +6,7 @@ transfer and error mapping are exercised end to end.
 """
 
 import os
+import socket
 import threading
 import time
 
@@ -25,6 +26,7 @@ from repro.errors import (
 )
 from repro.io import chain_to_bytes, load_chain
 from repro.service import ServiceClient, ServiceConfig, ServiceServer
+from repro.service.wire import pack_arrays
 
 CFG = {"error_bound": 1e-3, "nbits": 8, "strategy": "equal_width"}
 
@@ -410,6 +412,44 @@ class TestPersistence:
             # The first append cuts the torn bytes before writing.
             cl2.compress("torn", states[-1])
         assert len(load_chain(path)) == len(states)
+
+    @pytest.mark.parametrize("hangup", ["close", "half-close"])
+    def test_disconnect_mid_chunked_upload(self, tmp_path, hangup):
+        # A client sends the head of a chunked compress upload and part of
+        # its one chunk, then hangs up (a half-close still reads the
+        # answer).  The server keeps serving, the chain takes no state,
+        # and a restarted server serves exactly the acknowledged states.
+        states = make_states(15, iterations=3)
+        store = tmp_path / "chains"
+        codec = NumarckConfig.from_dict(CFG)
+        cfg = ServiceConfig(workers=2, capacity=8, store_dir=str(store),
+                            codec=codec)
+        body = pack_arrays([states[2]])
+        with ServiceServer(cfg) as srv:
+            cl = ServiceClient(port=srv.port)
+            for state in states[:2]:
+                assert cl.compress("cut", state)["state"] == "done"
+            sock = socket.create_connection(("127.0.0.1", srv.port),
+                                            timeout=30)
+            with sock:
+                sock.sendall(b"POST /v1/chains/cut/compress HTTP/1.1\r\n"
+                             b"Host: 127.0.0.1\r\n"
+                             b"Content-Type: application/octet-stream\r\n"
+                             b"Transfer-Encoding: chunked\r\n\r\n"
+                             + f"{len(body):x}\r\n".encode("ascii")
+                             + body[: len(body) // 2])
+                if hangup == "half-close":
+                    sock.shutdown(socket.SHUT_WR)
+                    assert sock.recv(64).startswith(b"HTTP/1.1 422")
+            assert cl.health()["status"] == "ok"
+            assert cl.chain_stats("cut")["iterations"] == 2
+            assert [j["state"] for j in cl.jobs()
+                    if j.get("chain") == "cut"] == ["done", "done"]
+            assert cl.compress("cut", states[2])["state"] == "done"
+        with ServiceServer(cfg) as srv:
+            blob = ServiceClient(port=srv.port).download_chain("cut")
+        assert blob == chain_to_bytes(
+            Codec(config=codec).compress_chain(states[:3]))
 
 
 class TestHealth:

@@ -106,7 +106,7 @@ The checkpoint store is crash-consistent by construction:
   tail, and appends new records with a per-record `fsync`.
   `repro.io.container.ChainWriter` holds one such writer per chain file
   and cuts the file back to the records its chains share whenever it
-  re-opens it; the service, `repro append` and
+  re-opens it; the service's durable chains, `repro append` and
   `RestartManager.persist_incremental(path_fn)` all append through it, so
   each checkpoint costs O(1) appended records per variable instead of a
   full rewrite, a crash can only damage the record being written, and a
