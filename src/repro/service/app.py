@@ -63,9 +63,9 @@ class ServiceConfig:
 class CompressionService:
     """The service core: submit work, wait on jobs, read chains.
 
-    Use as a context manager (or call :meth:`start` / :meth:`close`); the
-    queue installs its telemetry router on start and restores the ambient
-    telemetry on close.
+    Use as a context manager (or call :meth:`start` / :meth:`close`); job
+    spans tee into the telemetry ambient where :meth:`start` is called,
+    and no other thread's telemetry changes.
     """
 
     def __init__(self, config: ServiceConfig | None = None) -> None:

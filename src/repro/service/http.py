@@ -45,6 +45,7 @@ from repro.errors import (
 )
 from repro.service.app import CompressionService, ServiceConfig
 from repro.service.wire import read_chunked
+from repro.telemetry.tracer import get_telemetry, use
 
 __all__ = ["ServiceServer", "serve"]
 
@@ -67,6 +68,12 @@ class _Handler(BaseHTTPRequestHandler):
     @property
     def service(self) -> CompressionService:
         return self.server.service  # type: ignore[attr-defined]
+
+    def handle(self) -> None:
+        # Requests trace through the telemetry ambient where the server
+        # was built, which the job queue's workers tee into as well.
+        with use(self.server.telemetry):  # type: ignore[attr-defined]
+            super().handle()
 
     def log_message(self, fmt: str, *args: Any) -> None:
         # Access logging is off: the base class would write every request
@@ -116,6 +123,13 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _dispatch(self, method: str) -> None:
+        try:
+            self._respond(method)
+        except ConnectionError:
+            # The client hung up: nobody reads an answer, so write none.
+            self.close_connection = True
+
+    def _respond(self, method: str) -> None:
         try:
             handled = self._route(method)
         except NumarckError as exc:
@@ -264,6 +278,7 @@ class ServiceServer:
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.service = self.service  # type: ignore[attr-defined]
+        self._httpd.telemetry = get_telemetry()  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
 
     @property

@@ -7,15 +7,15 @@ that into ``429`` + ``Retry-After``) instead of buffering unboundedly --
 backpressure is the contract, and a job that *was* accepted is never
 dropped: workers drain the queue until :meth:`JobQueue.close`.
 
-Progress comes from telemetry, not ad-hoc callbacks.  While the queue is
-running it installs an ambient :class:`~repro.telemetry.tracer.Telemetry`
-whose sink is a :class:`_TelemetryRouter`: spans are written on the thread
-that emitted them, so the router keys the worker-thread id to the job it
-is executing and folds each finished span into that job's ``progress``
-dict (span count, bytes in/out, last stage name).  Spans from threads that
-are not running a job -- and every span, as a tee -- fall through to
-whatever sink was ambient before the queue started, so ``NUMARCK_TRACE``
-keeps working while a server is up.
+Progress comes from telemetry, not ad-hoc callbacks.  Each worker thread
+traces through the queue's own :class:`~repro.telemetry.tracer.Telemetry`
+(scoped to it with :func:`~repro.telemetry.tracer.use`) and holds its
+running job in a ``contextvars`` variable, so the queue's sink folds each
+finished span into that job's ``progress`` dict (span count, bytes in/out,
+last stage name).  Every span is also teed to the sink of the telemetry
+ambient where :meth:`JobQueue.start` was called, so ``NUMARCK_TRACE`` or
+``repro --trace`` keeps working while a server is up; no other thread's
+telemetry changes.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import itertools
 import queue
 import threading
 import time
+from contextvars import ContextVar
 from typing import Any, Callable
 
 from repro.errors import (
@@ -33,7 +34,7 @@ from repro.errors import (
     ServiceUnavailableError,
     StateError,
 )
-from repro.telemetry.tracer import Telemetry, get_telemetry, set_telemetry
+from repro.telemetry.tracer import Telemetry, get_telemetry, use
 
 __all__ = ["Job", "JobQueue"]
 
@@ -82,26 +83,19 @@ class Job:
         return out
 
 
-class _TelemetryRouter:
-    """Span sink that routes each record to the job running on the
-    emitting thread, then tees it to the previously ambient sink."""
+#: the job running in this worker context; read by :class:`_ProgressSink`.
+_current_job: ContextVar[Job | None] = ContextVar("job", default=None)
+
+
+class _ProgressSink:
+    """Span sink that folds each record into the progress of the job
+    running in the emitting context, then tees it downstream."""
 
     def __init__(self, downstream=None) -> None:
-        self._jobs: dict[int, Job] = {}
         self._downstream = downstream
-        self._lock = threading.Lock()
-
-    def register(self, job: Job) -> None:
-        with self._lock:
-            self._jobs[threading.get_ident()] = job
-
-    def unregister(self) -> None:
-        with self._lock:
-            self._jobs.pop(threading.get_ident(), None)
 
     def write(self, record: dict) -> None:
-        with self._lock:
-            job = self._jobs.get(threading.get_ident())
+        job = _current_job.get()
         if job is not None and record.get("type") == "span":
             prog = job.progress
             prog["spans"] += 1
@@ -120,8 +114,8 @@ class _TelemetryRouter:
             self._downstream.flush()
 
     def close(self) -> None:
-        # The downstream sink belongs to the pre-existing telemetry (e.g.
-        # the NUMARCK_TRACE exit-flushed file); flush but never close it.
+        # The downstream sink belongs to the starter's telemetry (e.g. the
+        # NUMARCK_TRACE exit-flushed file); flush but never close it.
         self.flush()
 
 
@@ -161,9 +155,7 @@ class JobQueue:
         self._unpaused = threading.Event()
         self._unpaused.set()
         self._open = False
-        self._router: _TelemetryRouter | None = None
         self._tel: Telemetry | None = None
-        self._prev_tel = None
         self._threads = [
             threading.Thread(target=self._worker, name=f"numarck-worker-{i}",
                              daemon=True)
@@ -173,18 +165,18 @@ class JobQueue:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "JobQueue":
-        """Install the span router as ambient telemetry and start workers."""
-        prev = get_telemetry()
-        self._router = _TelemetryRouter(getattr(prev, "sink", None))
-        self._tel = Telemetry(sink=self._router, keep_spans=False)
-        self._prev_tel = set_telemetry(self._tel)
+        """Start the workers, teeing job spans into the sink of the
+        telemetry ambient here; nothing is installed process-wide."""
+        sink = _ProgressSink(getattr(get_telemetry(), "sink", None))
+        self._tel = Telemetry(sink=sink, keep_spans=False)
         self._open = True
         for t in self._threads:
             t.start()
         return self
 
     def close(self, timeout: float = 10.0) -> None:
-        """Drain accepted jobs, stop workers, restore ambient telemetry."""
+        """Drain accepted jobs, stop workers, and close the queue's
+        telemetry (its metrics snapshot goes to the tee)."""
         if not self._open:
             return
         self._open = False
@@ -193,11 +185,9 @@ class JobQueue:
             self._queue.put(None)
         for t in self._threads:
             t.join(timeout=timeout)
-        set_telemetry(self._prev_tel)
         if self._tel is not None:
             self._tel.close()
             self._tel = None
-        self._router = None
 
     def pause(self) -> None:
         """Stop workers from picking up further jobs (tests use this to
@@ -293,42 +283,40 @@ class JobQueue:
     # -- worker loop -------------------------------------------------------
 
     def _worker(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                return
-            # The pause gate sits *after* dequeue: idle workers block in
-            # get(), so gating only before it would let them start jobs
-            # submitted while paused.  A held job still counts as queued
-            # (and stays cancellable) until the gate opens.
-            self._unpaused.wait()
-            with self._lock:
-                if job.state != "queued":  # cancelled while waiting
-                    continue
-                job.state = "running"
-                job.started_at = time.time()
-                self._queued -= 1
-                self._running += 1
-            router = self._router
-            if router is not None:
-                router.register(job)
-            try:
-                job.result = job.fn()
-            except BaseException as exc:  # noqa: BLE001 - job isolation
-                job.error = exc
+        with use(self._tel):
+            while True:
+                job = self._queue.get()
+                if job is None:
+                    return
+                # The pause gate sits *after* dequeue: idle workers block
+                # in get(), so gating only before it would let them start
+                # jobs submitted while paused.  A held job still counts as
+                # queued (and stays cancellable) until the gate opens.
+                self._unpaused.wait()
                 with self._lock:
-                    job.state = "failed"
-                    self._running -= 1
-                    self._failed += 1
-            else:
-                with self._lock:
-                    job.state = "done"
-                    self._running -= 1
-                    self._done += 1
-            finally:
-                # The closure pins the job's input; keep only the result.
-                job.fn = None
-                if router is not None:
-                    router.unregister()
-                job.finished_at = time.time()
-                job.finished.set()
+                    if job.state != "queued":  # cancelled while waiting
+                        continue
+                    job.state = "running"
+                    job.started_at = time.time()
+                    self._queued -= 1
+                    self._running += 1
+                token = _current_job.set(job)
+                try:
+                    job.result = job.fn()
+                except BaseException as exc:  # noqa: BLE001 - job isolation
+                    job.error = exc
+                    with self._lock:
+                        job.state = "failed"
+                        self._running -= 1
+                        self._failed += 1
+                else:
+                    with self._lock:
+                        job.state = "done"
+                        self._running -= 1
+                        self._done += 1
+                finally:
+                    _current_job.reset(token)
+                    # The closure pins the job's input; keep only the result.
+                    job.fn = None
+                    job.finished_at = time.time()
+                    job.finished.set()

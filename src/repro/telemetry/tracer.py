@@ -17,13 +17,14 @@ The library's hot paths trace through the *ambient* telemetry object
 whose ``span()`` returns one preallocated no-op context manager -- the
 disabled path costs a dict build for the call-site attributes and nothing
 else, keeping untraced throughput within noise of uninstrumented code.
-Tests and embedders instead pass an explicit :class:`Telemetry` via
-:func:`set_telemetry` or the scoped :func:`use` context manager.
 
-Setting the ``NUMARCK_TRACE`` environment variable to a file path enables
-tracing process-wide: every finished span is appended to that JSONL file
-(see :mod:`repro.telemetry.sink`) and the file is flushed at interpreter
-exit, so existing scripts gain traces without a single code change.
+:func:`use` scopes a :class:`Telemetry` to the calling thread (or task);
+blocks nest, and threads started inside one do not see it.  Elsewhere the
+ambient object is the process default, set by :func:`set_telemetry` or by
+pointing the ``NUMARCK_TRACE`` environment variable at a file: every
+finished span is then appended to that JSONL file (see
+:mod:`repro.telemetry.sink`), flushed at interpreter exit, so existing
+scripts gain traces without a single code change.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any, Iterator
 
 from repro.telemetry.metrics import MetricsRegistry, NullMetricsRegistry
@@ -274,11 +276,6 @@ class Telemetry:
                     parent.span_id if parent else None,
                     len(stack), attrs)
 
-    def current_span(self) -> Span | None:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     def _push(self, span: Span) -> None:
         self._stack().append(span)
 
@@ -297,7 +294,7 @@ class Telemetry:
     @property
     def sink(self):
         """The streaming sink (or ``None``).  Exposed so wrappers -- e.g.
-        the service's per-job span router -- can tee into an existing
+        the service job queue's progress sink -- can tee into an existing
         sink without owning its lifecycle."""
         return self._sink
 
@@ -349,31 +346,36 @@ class Telemetry:
 #: process-wide disabled default; see :func:`get_telemetry`.
 NULL_TELEMETRY = NullTelemetry()
 
-_ambient: Telemetry | NullTelemetry = NULL_TELEMETRY
+_default: Telemetry | NullTelemetry = NULL_TELEMETRY
+_scoped: ContextVar[Telemetry | NullTelemetry | None] = ContextVar(
+    "numarck_telemetry", default=None)
 
 
 def get_telemetry() -> Telemetry | NullTelemetry:
-    """The ambient telemetry object instrumented code traces through."""
-    return _ambient
+    """The ambient telemetry object instrumented code traces through: the
+    one :func:`use` scoped to this context, else the process default."""
+    tel = _scoped.get()
+    return _default if tel is None else tel
 
 
 def set_telemetry(tel: Telemetry | NullTelemetry | None
                   ) -> Telemetry | NullTelemetry:
-    """Install ``tel`` as the ambient telemetry; returns the previous one.
+    """Install ``tel`` as the process default; returns the previous one.
 
-    ``None`` restores the disabled default.
+    ``None`` restores the disabled default.  :func:`use` blocks override it.
     """
-    global _ambient
-    previous = _ambient
-    _ambient = tel if tel is not None else NULL_TELEMETRY
+    global _default
+    previous = _default
+    _default = tel if tel is not None else NULL_TELEMETRY
     return previous
 
 
 @contextmanager
 def use(tel: Telemetry | NullTelemetry) -> Iterator[Telemetry | NullTelemetry]:
-    """Scoped :func:`set_telemetry`: restores the previous object on exit."""
-    previous = set_telemetry(tel)
+    """Make ``tel`` ambient for this thread (or task) until the block
+    exits; blocks nest, each exit restoring what its entry found."""
+    token = _scoped.set(tel)
     try:
         yield tel
     finally:
-        set_telemetry(previous)
+        _scoped.reset(token)

@@ -27,6 +27,7 @@ from repro.errors import (
 from repro.io import chain_to_bytes, load_chain
 from repro.service import ServiceClient, ServiceConfig, ServiceServer
 from repro.service.wire import pack_arrays
+from repro.telemetry import JsonlSink, Telemetry, read_spans, use
 
 CFG = {"error_bound": 1e-3, "nbits": 8, "strategy": "equal_width"}
 
@@ -414,11 +415,12 @@ class TestPersistence:
         assert len(load_chain(path)) == len(states)
 
     @pytest.mark.parametrize("hangup", ["close", "half-close"])
-    def test_disconnect_mid_chunked_upload(self, tmp_path, hangup):
+    def test_disconnect_mid_chunked_upload(self, tmp_path, hangup, capfd):
         # A client sends the head of a chunked compress upload and part of
         # its one chunk, then hangs up (a half-close still reads the
         # answer).  The server keeps serving, the chain takes no state,
-        # and a restarted server serves exactly the acknowledged states.
+        # a restarted server serves exactly the acknowledged states, and
+        # the server prints no traceback for the dropped client.
         states = make_states(15, iterations=3)
         store = tmp_path / "chains"
         codec = NumarckConfig.from_dict(CFG)
@@ -450,6 +452,24 @@ class TestPersistence:
             blob = ServiceClient(port=srv.port).download_chain("cut")
         assert blob == chain_to_bytes(
             Codec(config=codec).compress_chain(states[:3]))
+        assert "Traceback" not in capfd.readouterr().err
+
+
+class TestTelemetry:
+    def test_server_built_under_use_traces_requests_and_jobs(self, tmp_path):
+        # The ``repro --trace FILE serve`` shape: spans from request
+        # threads (an in-memory chain's download frames its container)
+        # and from job workers both reach the scoped trace file.
+        tel = Telemetry(sink=JsonlSink(tmp_path / "t.jsonl"), keep_spans=False)
+        with use(tel):
+            with ServiceServer(ServiceConfig(workers=1)) as srv:
+                cl = ServiceClient(port=srv.port)
+                for state in make_states(21, iterations=1):
+                    assert cl.compress("traced", state)["state"] == "done"
+                cl.download_chain("traced")
+        tel.close()
+        names = {s["name"] for s in read_spans(tmp_path / "t.jsonl")}
+        assert {"service.job.compress", "io.chain_to_bytes"} <= names
 
 
 class TestHealth:

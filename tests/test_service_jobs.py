@@ -21,7 +21,7 @@ from repro.io import chain_to_bytes
 from repro.service.app import CompressionService, ServiceConfig
 from repro.service.jobs import JobQueue
 from repro.service.wire import unpack_arrays
-from repro.telemetry.tracer import get_telemetry
+from repro.telemetry.tracer import Telemetry, get_telemetry, use
 
 
 @pytest.fixture
@@ -185,7 +185,7 @@ class TestProgress:
     def test_ambient_telemetry_restored_after_close(self):
         before = get_telemetry()
         q = JobQueue(capacity=2, workers=1).start()
-        assert get_telemetry() is not before
+        assert get_telemetry() is before
         q.close()
         assert get_telemetry() is before
 
@@ -198,6 +198,81 @@ class TestProgress:
         assert doc["chain"] == "c1"
         assert doc["result_bytes"] == 1
         assert isinstance(doc["progress"], dict)
+
+
+def _traced_job() -> bytes:
+    with get_telemetry().span("stage.job", bytes_in=8):
+        pass
+    return b"ok"
+
+
+class _ListSink:
+    def __init__(self):
+        self.records = []
+
+    def write(self, record):
+        self.records.append(record)
+
+    def flush(self):
+        pass
+
+    def close(self):
+        pass
+
+
+class TestAmbientScope:
+    """A running queue changes no other thread's ambient telemetry."""
+
+    def test_overlapping_queues_first_closed_first(self):
+        a = JobQueue(capacity=2, workers=1).start()
+        b = JobQueue(capacity=2, workers=1).start()
+        try:
+            a.close()
+            job = b.submit("t", _traced_job)
+            b.wait(job.id, timeout=10)
+            assert job.progress["spans"] == 1
+            assert job.progress["last_stage"] == "stage.job"
+        finally:
+            b.close()
+
+    @pytest.mark.parametrize("first", ["older", "newer"])
+    def test_starter_telemetry_unchanged_in_any_close_order(self, first):
+        before = get_telemetry()
+        older = JobQueue(capacity=2, workers=1).start()
+        newer = JobQueue(capacity=2, workers=1).start()
+        assert get_telemetry() is before
+        for q in ((older, newer) if first == "older" else (newer, older)):
+            q.close()
+            assert get_telemetry() is before
+
+    def test_embedder_scope_keeps_its_own_spans(self):
+        tel = Telemetry()
+        with use(tel):
+            q = JobQueue(capacity=2, workers=1).start()
+            try:
+                with get_telemetry().span("embedder.work"):
+                    job = q.submit("t", _traced_job)
+                    q.wait(job.id, timeout=10)
+            finally:
+                q.close()
+        # The job's span went to the queue, not the embedder's collector.
+        assert [s.name for s in tel.spans] == ["embedder.work"]
+        assert job.progress["spans"] == 1
+
+    def test_queue_started_under_use_tees_job_spans(self):
+        # The ``repro --trace FILE serve`` shape: the queue starts inside
+        # a scoped telemetry with a sink and tees every job span into it.
+        sink = _ListSink()
+        with use(Telemetry(sink=sink, keep_spans=False)):
+            q = JobQueue(capacity=2, workers=1).start()
+            try:
+                job = q.submit("t", _traced_job)
+                q.wait(job.id, timeout=10)
+            finally:
+                q.close()
+        spans = [r for r in sink.records if r["type"] == "span"]
+        assert [r["name"] for r in spans] == ["stage.job"]
+        assert job.progress["spans"] == 1
 
 
 class TestMemory:

@@ -97,9 +97,12 @@ class TestSpans:
         assert tel.spans == ()
 
     def test_use_restores_previous(self):
-        tel = Telemetry()
+        tel, inner = Telemetry(), Telemetry()
         with use(tel) as active:
             assert get_telemetry() is tel is active
+            with use(inner):
+                assert get_telemetry() is inner
+            assert get_telemetry() is tel
         assert get_telemetry() is NULL_TELEMETRY
 
     def test_set_telemetry_none_restores_default(self):
@@ -107,6 +110,31 @@ class TestSpans:
         assert prev is NULL_TELEMETRY
         set_telemetry(None)
         assert get_telemetry() is NULL_TELEMETRY
+
+    def test_use_overrides_process_default(self):
+        scoped, default = Telemetry(), Telemetry()
+        with use(scoped):
+            prev = set_telemetry(default)
+            try:
+                assert get_telemetry() is scoped
+            finally:
+                set_telemetry(prev)
+        assert get_telemetry() is NULL_TELEMETRY
+
+    def test_thread_started_inside_use_sees_process_default(self):
+        default, scoped = Telemetry(), Telemetry()
+        seen = []
+        prev = set_telemetry(default)
+        try:
+            with use(scoped):
+                t = threading.Thread(
+                    target=lambda: seen.append(get_telemetry()))
+                t.start()
+                t.join(timeout=10)
+                assert get_telemetry() is scoped
+        finally:
+            set_telemetry(prev)
+        assert seen == [default]
 
 
 class TestMetrics:

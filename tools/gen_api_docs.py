@@ -148,8 +148,9 @@ Every stage of the pipeline is instrumented through `repro.telemetry`:
 * **Zero cost when off.** The ambient default is a shared no-op
   telemetry object; untraced runs stay within noise of uninstrumented
   code (enforced by `benchmarks/test_throughput.py`).
-* **Enabling.** Scoped: `with telemetry.use(Telemetry()) as tel: ...;
-  tel.export("trace.jsonl")`. Process-wide with no code changes:
+* **Enabling.** Scoped to the calling thread:
+  `with telemetry.use(Telemetry()) as tel: ...; tel.export("trace.jsonl")`.
+  Process-wide with no code changes:
   `NUMARCK_TRACE=trace.jsonl python your_script.py`.
 * **Trace format.** Append-only JSONL (one span per line plus a final
   metrics snapshot), written with the same retry/torn-tail discipline
