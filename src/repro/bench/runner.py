@@ -18,6 +18,7 @@ import json
 import os
 import platform
 import statistics
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -29,13 +30,27 @@ from repro.bench.scenarios import Scenario, get_scenario, scenario_names
 from repro.bench.schema import SCHEMA_VERSION, validate_bench
 from repro.telemetry import Telemetry, use
 from repro.telemetry.analysis import stage_rollup
-from repro.telemetry.tracer import _rss_peak_kb
+
+try:  # pragma: no cover - resource is POSIX-only
+    import resource
+except ImportError:  # pragma: no cover
+    resource = None
 
 __all__ = ["env_fingerprint", "robust_stats", "run_scenario", "run_suite",
            "write_bench", "bench_path", "DEFAULT_REPEATS"]
 
 #: timing repeats per scenario unless overridden.
 DEFAULT_REPEATS = 5
+
+
+def _rss_peak_kb() -> float | None:
+    """Process high-water RSS in KiB (``None`` where unsupported)."""
+    if resource is None:  # pragma: no cover - non-POSIX
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - reported in bytes
+        peak /= 1024
+    return float(peak)
 
 
 def env_fingerprint() -> dict[str, Any]:

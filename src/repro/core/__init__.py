@@ -43,11 +43,7 @@ from repro.core.theory import (
     max_chain_depth,
     open_loop_error_bound,
 )
-from repro.core.streaming import (
-    ChunkRecord,
-    StreamedIteration,
-    decode_stream,
-)
+from repro.core.streaming import StreamedIteration, decode_stream
 from repro.core.strategies import (
     ApproximationStrategy,
     BinModel,
@@ -85,7 +81,6 @@ __all__ = [
     "LogScaleStrategy",
     "ClusteringStrategy",
     "StreamedIteration",
-    "ChunkRecord",
     "decode_stream",
     "open_loop_error_bound",
     "closed_loop_error_bound",

@@ -15,7 +15,7 @@ with a hard safety net:
    was last fitted, the fit stage is skipped (a *reuse hit*) and the
    validation labels double as the encode assignment;
 3. on drift the model is refitted, warm-starting Lloyd from the cached
-   centers (``config.warm_start``), and the baseline resets.
+   centers, and the baseline resets.
 
 The per-point guarantee is untouched in both paths: reuse only steers bin
 placement, and every point is still error-checked exhaustively against E.
@@ -104,7 +104,6 @@ class AdaptiveEncoder:
             model_hint=self._model,
             hint_baseline=self._baseline,
             hint_drift=self.config.drift_threshold,
-            warm_start=self.config.warm_start,
         )
         self.last_report = report
         self.stats.encodes += 1

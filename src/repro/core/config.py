@@ -36,7 +36,6 @@ __all__ = ["NumarckConfig"]
 
 StrategyName = Literal["equal_width", "log_scale", "clustering"]
 ReferenceMode = Literal["original", "reconstructed"]
-InitName = Literal["histogram", "kmeans++", "random"]
 
 _MAX_NBITS = 16
 
@@ -56,7 +55,6 @@ class NumarckConfig:
     nbits: int = 8
     strategy: StrategyName = "clustering"
     reference: ReferenceMode = "original"
-    kmeans_init: InitName = "histogram"
     kmeans_max_iter: int = 25
     reserve_zero_bin: bool = True
     seed: int = field(default=0)
@@ -65,8 +63,6 @@ class NumarckConfig:
     #: refit trigger: cached model is dropped when the incompressible
     #: fraction exceeds ``baseline + drift_threshold`` (absolute drift).
     drift_threshold: float = 0.05
-    #: warm-start Lloyd from the cached centers when a refit is triggered.
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
         if not (0.0 < self.error_bound < 1.0):
@@ -79,8 +75,6 @@ class NumarckConfig:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.reference not in ("original", "reconstructed"):
             raise ConfigError(f"unknown reference mode {self.reference!r}")
-        if self.kmeans_init not in ("histogram", "kmeans++", "random"):
-            raise ConfigError(f"unknown kmeans_init {self.kmeans_init!r}")
         if self.kmeans_max_iter < 1:
             raise ConfigError(f"kmeans_max_iter must be >= 1, got {self.kmeans_max_iter}")
         if not (0.0 < self.drift_threshold <= 1.0):

@@ -292,7 +292,6 @@ def encode_pair(
     model_hint: BinModel | None = None,
     hint_baseline: float = 0.0,
     hint_drift: float | None = None,
-    warm_start: bool = True,
 ) -> tuple[EncodedIteration, EncodeReport]:
     """Compress iteration ``curr`` against ``prev``; return the encoding
     plus an :class:`EncodeReport` describing the model-reuse decision.
@@ -318,9 +317,8 @@ def encode_pair(
         measured relative to this.
     hint_drift:
         Maximum tolerated drift before a refit (absolute increase of the
-        fail fraction).  ``None`` disables the gate.
-    warm_start:
-        On refit, seed the strategy from the hint's representatives.
+        fail fraction).  ``None`` disables the gate.  On refit the
+        strategy warm-starts from the hint's representatives.
     """
     cfg = config if config is not None else NumarckConfig()
     curr = np.asarray(curr)
@@ -352,7 +350,7 @@ def encode_pair(
             if n_cand:
                 with tel.span("encode.fit", n_candidates=n_cand):
                     ws = (model_hint.representatives
-                          if model_hint is not None and warm_start else None)
+                          if model_hint is not None else None)
                     model = _fit_model(ratios[cand_idx], cfg, warm_start=ws)
                 if model_hint is not None:
                     refitted = True

@@ -14,6 +14,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["BinModel", "ApproximationStrategy"]
 
 
+def bounded_sample(arr: np.ndarray, limit: int | None,
+                   seed: int) -> np.ndarray:
+    """``arr`` itself when it holds at most ``limit`` values, else a
+    seeded draw of ``limit - 2`` of them without replacement plus the
+    minimum and maximum, so a model fitted to the sample spans the full
+    range."""
+    if limit is None or arr.size <= limit:
+        return arr
+    idx = np.random.default_rng(seed).choice(arr.size, size=limit - 2,
+                                             replace=False)
+    return np.concatenate([arr[idx], [arr.min(), arr.max()]])
+
+
 @dataclass(frozen=True)
 class BinModel:
     """A fitted set of representative change ratios.

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.strategies.base import ApproximationStrategy, BinModel
+from repro.core.strategies.base import (ApproximationStrategy, BinModel,
+                                        bounded_sample)
 from repro.kmeans import histogram_init, kmeans1d, kmeanspp_init, random_init
 from repro.telemetry.tracer import get_telemetry
 
@@ -93,17 +94,7 @@ class ClusteringStrategy(ApproximationStrategy):
 
     @classmethod
     def from_config(cls, config) -> "ClusteringStrategy":
-        return cls(init=config.kmeans_init, max_iter=config.kmeans_max_iter,
-                   seed=config.seed)
-
-    def _sample(self, arr: np.ndarray) -> np.ndarray:
-        limit = self.sample_limit
-        if limit is None or arr.size <= limit:
-            return arr
-        rng = np.random.default_rng(self.seed)
-        idx = rng.choice(arr.size, size=limit - 2, replace=False)
-        # Keep the extremes so the centroid span covers the full range.
-        return np.concatenate([arr[idx], [arr.min(), arr.max()]])
+        return cls(max_iter=config.kmeans_max_iter, seed=config.seed)
 
     def _fit_space(self, sample: np.ndarray, k: int, error_bound: float,
                    space: str, warm: np.ndarray | None = None) -> BinModel:
@@ -145,7 +136,7 @@ class ClusteringStrategy(ApproximationStrategy):
                 # exactly, no clustering needed.
                 sp.set(n_bins=int(uniq.size), space="exact")
                 return BinModel(uniq)
-            sample = self._sample(arr)
+            sample = bounded_sample(arr, self.sample_limit, self.seed)
             sp.set(n_sampled=int(sample.size), warm_started=warm is not None)
             if self.space != "auto":
                 model = self._fit_space(sample, k, error_bound, self.space, warm)

@@ -8,20 +8,18 @@ structure the paper's in-situ setting implies:
   feeding a bounded reservoir sample of the compressible candidates (plus
   their running extremes) into the strategy fit -- O(chunk) peak memory;
 * **pass 2 (encode):** stream again, assigning every point against the
-  shared :class:`~repro.core.strategies.base.BinModel` and emitting one
-  :class:`ChunkRecord` (indices, bitmap, exact values) per chunk through
-  the one encode kernel, :func:`~repro.core.encoder.encode_block`.
+  shared :class:`~repro.core.strategies.base.BinModel` through the one
+  encode kernel, :func:`~repro.core.encoder.encode_block`, and keeping
+  each chunk as a flat :class:`~repro.core.encoder.EncodedIteration` that
+  carries the stream's table and ``value_bits``.
 
 The per-point guarantee is identical to the one-shot encoder: assignment
 and the exactness check are exhaustive; only *bin placement* is estimated
-from the sample.  ``decode_stream`` reverses chunk by chunk.  Chunks keep
-their dtype: when pass 1 sees only float32 chunks, the stream records
-``value_bits=32`` and its exact values are stored as float32.
-
-The chunk records concatenate to exactly the arrays a one-shot
-:class:`~repro.core.encoder.EncodedIteration` would hold, and
-``as_encoded_iteration`` performs that concatenation (useful for tests and
-for writing a streamed result into the standard container format).
+from the sample.  Since each chunk is an ordinary encoded iteration,
+``decode_stream`` decodes it with :func:`~repro.core.decoder.decode_iteration`
+against the matching reference chunk.  Chunks keep their dtype: when
+pass 1 sees only float32 chunks, the stream records ``value_bits=32`` and
+its exact values are stored as float32.
 
 The public entry point is :meth:`repro.Codec.compress_stream`:
 
@@ -42,38 +40,27 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.core.change import change_ratios
 from repro.core.config import NumarckConfig
+from repro.core.decoder import decode_iteration
 from repro.core.encoder import (EncodedIteration, _fit_model, candidate_index,
                                 encode_block)
 from repro.core.strategies.base import BinModel
 from repro.errors import FormatError
 
-__all__ = ["ChunkRecord", "StreamedIteration", "decode_stream"]
-
-
-@dataclass(frozen=True)
-class ChunkRecord:
-    """Encoded form of one chunk (flat, in stream order)."""
-
-    start: int
-    indices: np.ndarray
-    incompressible: np.ndarray
-    exact_values: np.ndarray
-
-    @property
-    def n_points(self) -> int:
-        return int(self.indices.size)
+__all__ = ["StreamedIteration", "decode_stream"]
 
 
 @dataclass(frozen=True)
 class StreamedIteration:
-    """A streamed encoding: the shared model plus per-chunk records."""
+    """A streamed encoding: the shared model plus one flat
+    :class:`~repro.core.encoder.EncodedIteration` per chunk, in stream
+    order, each carrying this table and ``value_bits``."""
 
     n_points: int
     nbits: int
@@ -81,30 +68,9 @@ class StreamedIteration:
     strategy: str
     zero_reserved: bool
     representatives: np.ndarray
-    chunks: tuple[ChunkRecord, ...]
+    chunks: tuple[EncodedIteration, ...]
     #: 32 when every source chunk was float32 (exact values stored as f4).
     value_bits: int = 64
-
-    def as_encoded_iteration(self) -> EncodedIteration:
-        """Concatenate the chunks into a one-shot-equivalent encoding."""
-        indices = np.concatenate([c.indices for c in self.chunks]) \
-            if self.chunks else np.empty(0, dtype=np.uint32)
-        bitmap = np.concatenate([c.incompressible for c in self.chunks]) \
-            if self.chunks else np.empty(0, dtype=bool)
-        exact = np.concatenate([c.exact_values for c in self.chunks]) \
-            if self.chunks else np.empty(0, dtype=np.float64)
-        return EncodedIteration(
-            shape=(self.n_points,),
-            nbits=self.nbits,
-            representatives=self.representatives,
-            indices=indices,
-            incompressible=bitmap,
-            exact_values=exact,
-            error_bound=self.error_bound,
-            strategy=self.strategy,
-            zero_reserved=self.zero_reserved,
-            value_bits=self.value_bits,
-        )
 
 
 class _ChunkedEncoder:
@@ -188,7 +154,8 @@ class _ChunkedEncoder:
     # -- pass 2 -------------------------------------------------------------
 
     def _encode_chunk(self, start: int, prev: np.ndarray, curr: np.ndarray,
-                      model: BinModel | None, value_bits: int) -> ChunkRecord:
+                      model: BinModel | None, value_bits: int
+                      ) -> EncodedIteration:
         curr = np.asarray(curr).ravel()
         field = change_ratios(np.asarray(prev).ravel(), curr)
         block = encode_block(field.ratios, field.forced_exact, curr, model,
@@ -198,12 +165,8 @@ class _ChunkedEncoder:
                 f"streams changed between passes: chunk at {start} is "
                 f"{curr.dtype}, pass 1 saw only float32"
             )
-        return ChunkRecord(
-            start=start,
-            indices=block.indices,
-            incompressible=block.incompressible,
-            exact_values=block.exact_values,
-        )
+        return replace(block.as_iteration(curr.shape, self.config),
+                       value_bits=value_bits)
 
     def encode(self, prev_stream_factory, curr_stream_factory) -> StreamedIteration:
         """Encode from two replayable chunk streams.
@@ -215,12 +178,12 @@ class _ChunkedEncoder:
         cfg = self.config
         model, n_points, value_bits = self._fit_from_stream(
             prev_stream_factory(), curr_stream_factory())
-        chunks: list[ChunkRecord] = []
+        chunks: list[EncodedIteration] = []
         start = 0
         for prev, curr in zip(prev_stream_factory(), curr_stream_factory()):
-            record = self._encode_chunk(start, prev, curr, model, value_bits)
-            chunks.append(record)
-            start += record.n_points
+            chunk = self._encode_chunk(start, prev, curr, model, value_bits)
+            chunks.append(chunk)
+            start += chunk.n_points
         if start != n_points:
             raise FormatError(
                 f"streams changed between passes: pass 1 saw {n_points} points, "
@@ -259,21 +222,11 @@ def decode_stream(prev_chunks: Iterator[np.ndarray],
     Yields one decoded array per stored chunk; chunk boundaries must match
     the encode pass (they do when the same chunking is replayed).
     """
-    if streamed.representatives.size:
-        if streamed.zero_reserved:
-            table = np.concatenate([[0.0], streamed.representatives])
-        else:
-            table = streamed.representatives
-    else:
-        table = np.zeros(1)
-    for record, prev in zip(streamed.chunks, prev_chunks):
-        prev = np.asarray(prev, dtype=np.float64).ravel()
-        if prev.size != record.n_points:
+    for i, (chunk, prev) in enumerate(zip(streamed.chunks, prev_chunks)):
+        prev = np.asarray(prev).ravel()
+        if prev.size != chunk.n_points:
             raise FormatError(
-                f"chunk at {record.start}: reference has {prev.size} points, "
-                f"record has {record.n_points}"
+                f"chunk {i}: reference has {prev.size} points, "
+                f"record has {chunk.n_points}"
             )
-        ratios = table[record.indices]
-        out = prev * (1.0 + ratios)
-        out[record.incompressible] = record.exact_values
-        yield out
+        yield decode_iteration(prev, chunk)

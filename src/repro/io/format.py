@@ -22,10 +22,13 @@ preceding delta of the same chain -- repeated tables are thereby stored
 once per run of reuse hits.  Exact values appear in flat index order,
 i.e. the j-th set bit of the bitmap corresponds to ``exact[j]``.
 
-The last four fields are the *point tail*, shared with the ``CHNK``
-records of :mod:`repro.io.streamed`: one writer
-(:func:`_pack_point_tail`) and one parser (:func:`_parse_point_tail`,
-which also checks the bitmap population and the index range) serve both.
+The delta's fields are written and parsed by shared helpers that the
+stream records of :mod:`repro.io.streamed` reuse: the *head*
+(``nbits flags strategy_len strategy error_bound``, with one ``flags``
+builder) and the *table* (``n_reps reps``) also make up a stream's
+``SHDR`` record, and the last four fields, the *point tail*, make up each
+``CHNK`` record.  The point-tail parser also checks the bitmap population
+and the index range.
 
 Format version 2 introduced bits 2/3; version-1 files (which can never
 carry them) read back unchanged.
@@ -102,16 +105,64 @@ def decode_full_bytes(payload: bytes) -> np.ndarray:
     return np.frombuffer(buf[off : off + 8 * n], dtype="<f8").reshape(shape)
 
 
-def _pack_point_tail(indices: np.ndarray, incompressible: np.ndarray,
-                     exact_values: np.ndarray, nbits: int,
-                     value_bits: int) -> bytes:
-    """``n_exact:u64 exact bitmap packed_indices``; exact values as f4
-    when ``value_bits`` is 32, else f8."""
-    exact = np.ascontiguousarray(exact_values,
-                                 dtype="<f4" if value_bits == 32 else "<f8")
-    bitmap = np.packbits(incompressible.astype(np.uint8), bitorder="little")
+def _pack_flags(zero_reserved: bool, value_bits: int, *,
+                model_reused: bool = False, table_ref: bool = False) -> int:
+    """The ``flags`` byte of a delta payload or a stream header."""
+    if value_bits not in (32, 64):
+        raise FormatError(f"unsupported value_bits {value_bits}")
+    return ((_FLAG_ZERO_RESERVED if zero_reserved else 0)
+            | (_FLAG_FLOAT32_VALUES if value_bits == 32 else 0)
+            | (_FLAG_MODEL_REUSED if model_reused else 0)
+            | (_FLAG_TABLE_REF if table_ref else 0))
+
+
+def _pack_head(nbits: int, flags: int, strategy: str,
+               error_bound: float) -> bytes:
+    """``nbits:u8 flags:u8 strategy_len:u8 strategy error_bound:f64``."""
+    name = strategy.encode("ascii")
+    if len(name) > 255:
+        raise FormatError("strategy name too long")
+    return (struct.pack("<BBB", nbits, flags, len(name)) + name
+            + struct.pack("<d", error_bound))
+
+
+def _parse_head(buf: memoryview, off: int
+                ) -> tuple[int, int, str, float, int]:
+    """Inverse of :func:`_pack_head` at ``off``: ``(nbits, flags,
+    strategy, error_bound, end offset)``; raises ``struct.error`` or
+    ``ValueError`` on a corrupt head."""
+    nbits, flags, slen = struct.unpack_from("<BBB", buf, off)
+    off += 3
+    strategy = bytes(buf[off : off + slen]).decode("ascii")
+    off += slen
+    (error_bound,) = struct.unpack_from("<d", buf, off)
+    return int(nbits), int(flags), strategy, float(error_bound), off + 8
+
+
+def _pack_table(representatives: np.ndarray) -> bytes:
+    """``n_reps:u32 reps:f64[n_reps]``."""
+    reps = np.ascontiguousarray(representatives, dtype="<f8")
+    return struct.pack("<I", reps.size) + reps.tobytes()
+
+
+def _parse_table(buf: memoryview, off: int) -> tuple[np.ndarray, int]:
+    """Inverse of :func:`_pack_table` at ``off``: ``(reps, end offset)``."""
+    (n_reps,) = struct.unpack_from("<I", buf, off)
+    off += 4
+    reps = np.frombuffer(buf[off : off + 8 * n_reps], dtype="<f8").copy()
+    if reps.size != n_reps:
+        raise FormatError("truncated representatives table")
+    return reps, off + 8 * n_reps
+
+
+def _pack_point_tail(enc: EncodedIteration) -> bytes:
+    """``n_exact:u64 exact bitmap packed_indices`` of ``enc``; exact
+    values as f4 when its ``value_bits`` is 32, else f8."""
+    exact = np.ascontiguousarray(enc.exact_values,
+                                 dtype="<f4" if enc.value_bits == 32 else "<f8")
+    bitmap = np.packbits(enc.incompressible.astype(np.uint8), bitorder="little")
     return (struct.pack("<Q", exact.size) + exact.tobytes() + bitmap.tobytes()
-            + pack_bits(indices, nbits))
+            + pack_bits(enc.indices, enc.nbits))
 
 
 def _parse_point_tail(buf: memoryview, off: int, n: int, nbits: int, *,
@@ -165,28 +216,13 @@ def encode_delta_bytes(enc: EncodedIteration, *, table_ref: bool = False) -> byt
     of the nearest preceding delta in the same chain, and the reader must
     pass that table as ``prev_reps`` to :func:`decode_delta_bytes`.
     """
-    strategy = enc.strategy.encode("ascii")
-    if len(strategy) > 255:
-        raise FormatError("strategy name too long")
-    if enc.value_bits not in (32, 64):
-        raise FormatError(f"unsupported value_bits {enc.value_bits}")
-    flags = _FLAG_ZERO_RESERVED if enc.zero_reserved else 0
-    if enc.value_bits == 32:
-        flags |= _FLAG_FLOAT32_VALUES
-    if enc.model_reused:
-        flags |= _FLAG_MODEL_REUSED
-    if table_ref:
-        flags |= _FLAG_TABLE_REF
-    head = struct.pack("<BBB", enc.nbits, flags, len(strategy)) + strategy
-    head += struct.pack("<d", enc.error_bound)
-    head += _pack_dims(enc.shape)
-
-    reps = np.ascontiguousarray(enc.representatives, dtype="<f8")
-    if table_ref:
-        reps = np.empty(0, dtype="<f8")
-    return (head + struct.pack("<I", reps.size) + reps.tobytes()
-            + _pack_point_tail(enc.indices, enc.incompressible,
-                               enc.exact_values, enc.nbits, enc.value_bits))
+    flags = _pack_flags(enc.zero_reserved, enc.value_bits,
+                        model_reused=enc.model_reused,
+                        table_ref=table_ref)
+    return (_pack_head(enc.nbits, flags, enc.strategy, enc.error_bound)
+            + _pack_dims(enc.shape)
+            + _pack_table(np.empty(0) if table_ref else enc.representatives)
+            + _pack_point_tail(enc))
 
 
 def _delta_head(payload: bytes, prev_reps: np.ndarray | None):
@@ -195,19 +231,9 @@ def _delta_head(payload: bytes, prev_reps: np.ndarray | None):
     ``off``), with a table reference resolved against ``prev_reps``."""
     buf = memoryview(payload)
     try:
-        nbits, flags, slen = struct.unpack_from("<BBB", buf, 0)
-        off = 3
-        strategy = bytes(buf[off : off + slen]).decode("ascii")
-        off += slen
-        (error_bound,) = struct.unpack_from("<d", buf, off)
-        off += 8
+        nbits, flags, strategy, error_bound, off = _parse_head(buf, 0)
         shape, off = _unpack_dims(buf, off)
-        (n_reps,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        reps = np.frombuffer(buf[off : off + 8 * n_reps], dtype="<f8").copy()
-        if reps.size != n_reps:
-            raise FormatError("truncated representatives table")
-        off += 8 * n_reps
+        reps, off = _parse_table(buf, off)
     except (struct.error, ValueError) as exc:
         raise FormatError(f"corrupt delta payload: {exc}") from exc
     if flags & _FLAG_TABLE_REF:
@@ -238,12 +264,12 @@ def decode_delta_bytes(payload: bytes,
         zero_reserved=zero_reserved)
     return EncodedIteration(
         shape=shape,
-        nbits=int(nbits),
+        nbits=nbits,
         representatives=reps,
         indices=indices,
         incompressible=incompressible,
         exact_values=exact,
-        error_bound=float(error_bound),
+        error_bound=error_bound,
         strategy=strategy,
         zero_reserved=zero_reserved,
         value_bits=32 if float32 else 64,
@@ -270,5 +296,5 @@ def last_delta_head(payloads: Sequence[bytes]) -> DeltaHead | None:
         _buf, nbits, _flags, strategy, error_bound, _shape, reps, _off = \
             _delta_head(payload, None if head is None
                         else head.representatives)
-        head = DeltaHead(int(nbits), strategy, float(error_bound), reps)
+        head = DeltaHead(nbits, strategy, error_bound, reps)
     return head

@@ -3,18 +3,20 @@
 A :class:`~repro.core.streaming.StreamedIteration` could be concatenated
 and written as one delta record, but that defeats the point of streaming:
 the writer would materialise the whole iteration.  This module stores the
-stream as-is --
+stream as-is, reusing the delta record's fields from
+:mod:`repro.io.format` --
 
-* one ``SHDR`` record: stream metadata + the shared representative table
-  (flag bit 0 = zero index reserved, bit 1 = exact values stored as
-  float32, the same bits a delta record uses);
+* one ``SHDR`` record: ``n_points:u64`` followed by the delta head
+  (``nbits flags strategy_len strategy error_bound``; flag bit 0 = zero
+  index reserved, bit 1 = exact values stored as float32) and the shared
+  table (``n_reps reps``);
 * one ``CHNK`` record per chunk: ``start:u64 n:u64`` followed by the point
-  tail of a delta payload (``n_exact:u64 exact bitmap packed_indices``),
-  written and parsed by the same code as in :mod:`repro.io.format` --
+  tail of a delta payload (``n_exact:u64 exact bitmap packed_indices``) --
 
-so both writing and reading touch one chunk at a time.  Reading back
-yields a ``StreamedIteration`` whose chunks decode against the same
-replayed reference stream used at encode time.
+so both writing and reading touch one chunk at a time.  The writer
+computes each chunk's ``start`` offset; the reader checks it, and rebuilds
+each chunk as a flat :class:`~repro.core.encoder.EncodedIteration` that
+decodes against the same replayed reference stream used at encode time.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ import struct
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from repro.core.streaming import ChunkRecord, StreamedIteration
+from repro.core.encoder import EncodedIteration
+from repro.core.streaming import StreamedIteration
 from repro.errors import FormatError
 from repro.io.container import CheckpointFile
 from repro.io.format import (_FLAG_FLOAT32_VALUES, _FLAG_ZERO_RESERVED,
-                             _pack_point_tail, _parse_point_tail)
+                             _pack_flags, _pack_head, _pack_point_tail,
+                             _pack_table, _parse_head, _parse_point_tail,
+                             _parse_table)
 from repro.telemetry.tracer import get_telemetry
 
 __all__ = ["save_streamed", "load_streamed", "streamed_to_bytes",
@@ -40,42 +43,19 @@ TAG_STREAM_HEADER = b"SHDR"
 TAG_CHUNK = b"CHNK"
 
 
-def _header_payload(streamed: StreamedIteration) -> bytes:
-    strategy = streamed.strategy.encode("ascii")
-    flags = _FLAG_ZERO_RESERVED if streamed.zero_reserved else 0
-    if streamed.value_bits == 32:
-        flags |= _FLAG_FLOAT32_VALUES
-    reps = np.ascontiguousarray(streamed.representatives, dtype="<f8")
-    return (
-        struct.pack("<QBBB", streamed.n_points, streamed.nbits, flags,
-                    len(strategy))
-        + strategy
-        + struct.pack("<d", streamed.error_bound)
-        + struct.pack("<I", reps.size)
-        + reps.tobytes()
-    )
-
-
 def _parse_header(payload: bytes) -> StreamedIteration:
     """The stream's metadata and table, as a chunk-less iteration."""
+    buf = memoryview(payload)
     try:
-        n_points, nbits, flags, slen = struct.unpack_from("<QBBB", payload, 0)
-        off = 11
-        strategy = payload[off : off + slen].decode("ascii")
-        off += slen
-        (error_bound,) = struct.unpack_from("<d", payload, off)
-        off += 8
-        (n_reps,) = struct.unpack_from("<I", payload, off)
-        off += 4
-        reps = np.frombuffer(payload[off : off + 8 * n_reps], dtype="<f8").copy()
-        if reps.size != n_reps:
-            raise FormatError("truncated representative table")
-    except (struct.error, UnicodeDecodeError) as exc:
+        (n_points,) = struct.unpack_from("<Q", buf, 0)
+        nbits, flags, strategy, error_bound, off = _parse_head(buf, 8)
+        reps, _ = _parse_table(buf, off)
+    except (struct.error, ValueError) as exc:
         raise FormatError(f"corrupt stream header: {exc}") from exc
     return StreamedIteration(
         n_points=int(n_points),
-        nbits=int(nbits),
-        error_bound=float(error_bound),
+        nbits=nbits,
+        error_bound=error_bound,
         strategy=strategy,
         zero_reserved=bool(flags & _FLAG_ZERO_RESERVED),
         representatives=reps,
@@ -84,14 +64,9 @@ def _parse_header(payload: bytes) -> StreamedIteration:
     )
 
 
-def _chunk_payload(chunk: ChunkRecord, streamed: StreamedIteration) -> bytes:
-    return (struct.pack("<QQ", chunk.start, chunk.n_points)
-            + _pack_point_tail(chunk.indices, chunk.incompressible,
-                               chunk.exact_values, streamed.nbits,
-                               streamed.value_bits))
-
-
-def _parse_chunk(payload: bytes, header: StreamedIteration) -> ChunkRecord:
+def _parse_chunk(payload: bytes, header: StreamedIteration
+                 ) -> tuple[int, EncodedIteration]:
+    """``(start offset, chunk)`` of a ``CHNK`` payload."""
     buf = memoryview(payload)
     try:
         start, n = struct.unpack_from("<QQ", buf, 0)
@@ -101,14 +76,25 @@ def _parse_chunk(payload: bytes, header: StreamedIteration) -> ChunkRecord:
         buf, 16, n, header.nbits, float32=header.value_bits == 32,
         n_reps=header.representatives.size,
         zero_reserved=header.zero_reserved)
-    return ChunkRecord(start=int(start), indices=indices,
-                       incompressible=mask, exact_values=exact)
+    return int(start), EncodedIteration(
+        shape=(int(n),), nbits=header.nbits,
+        representatives=header.representatives, indices=indices,
+        incompressible=mask, exact_values=exact,
+        error_bound=header.error_bound, strategy=header.strategy,
+        zero_reserved=header.zero_reserved, value_bits=header.value_bits)
 
 
 def _write_records(f: CheckpointFile, streamed: StreamedIteration) -> None:
-    f.write_record(TAG_STREAM_HEADER, _header_payload(streamed))
+    flags = _pack_flags(streamed.zero_reserved, streamed.value_bits)
+    f.write_record(TAG_STREAM_HEADER, struct.pack("<Q", streamed.n_points)
+                   + _pack_head(streamed.nbits, flags, streamed.strategy,
+                                streamed.error_bound)
+                   + _pack_table(streamed.representatives))
+    start = 0
     for chunk in streamed.chunks:
-        f.write_record(TAG_CHUNK, _chunk_payload(chunk, streamed))
+        f.write_record(TAG_CHUNK, struct.pack("<QQ", start, chunk.n_points)
+                       + _pack_point_tail(chunk))
+        start += chunk.n_points
 
 
 def save_streamed(path: str | Path, streamed: StreamedIteration) -> int:
@@ -137,14 +123,17 @@ def streamed_from_bytes(data: bytes) -> StreamedIteration:
     container bytes (strict; the in-memory twin of :func:`load_streamed`)."""
     with get_telemetry().span("io.streamed_from_bytes",
                               bytes_in=len(data)) as sp:
-        header, chunks = _read_stream_records(CheckpointFile.from_bytes(data))
-        sp.set(n_chunks=len(chunks))
-    return _assemble_stream(header, chunks)
+        streamed = _read_stream(CheckpointFile.from_bytes(data))
+        sp.set(n_chunks=len(streamed.chunks))
+    return streamed
 
 
-def _read_stream_records(f: CheckpointFile):
+def _read_stream(f: CheckpointFile) -> StreamedIteration:
+    """Parse every record, checking each chunk's start offset as it
+    comes and that the chunks cover the header's points."""
     header = None
-    chunks: list[ChunkRecord] = []
+    chunks: list[EncodedIteration] = []
+    expected = 0
     for tag, payload in f.records():
         if tag == TAG_STREAM_HEADER:
             if header is not None:
@@ -153,10 +142,21 @@ def _read_stream_records(f: CheckpointFile):
         elif tag == TAG_CHUNK:
             if header is None:
                 raise FormatError("chunk before stream header")
-            chunks.append(_parse_chunk(payload, header))
+            start, chunk = _parse_chunk(payload, header)
+            if start != expected:
+                raise FormatError(
+                    f"chunk at offset {start}, expected {expected}")
+            chunks.append(chunk)
+            expected += chunk.n_points
         else:
             raise FormatError(f"unexpected record tag {tag!r}")
-    return header, chunks
+    if header is None:
+        raise FormatError("no stream header record")
+    if expected != header.n_points:
+        raise FormatError(
+            f"chunks cover {expected} points, header declares {header.n_points}"
+        )
+    return replace(header, chunks=tuple(chunks))
 
 
 def load_streamed(path: str | Path) -> StreamedIteration:
@@ -164,24 +164,6 @@ def load_streamed(path: str | Path) -> StreamedIteration:
     with get_telemetry().span("io.load_streamed",
                               bytes_in=Path(path).stat().st_size) as sp, \
             CheckpointFile.open(path) as f:
-        header, chunks = _read_stream_records(f)
-        sp.set(n_chunks=len(chunks))
-    return _assemble_stream(header, chunks)
-
-
-def _assemble_stream(header: StreamedIteration | None,
-                     chunks: list[ChunkRecord]) -> StreamedIteration:
-    if header is None:
-        raise FormatError("no stream header record")
-    expected = 0
-    for chunk in chunks:
-        if chunk.start != expected:
-            raise FormatError(
-                f"chunk at offset {chunk.start}, expected {expected}"
-            )
-        expected += chunk.n_points
-    if expected != header.n_points:
-        raise FormatError(
-            f"chunks cover {expected} points, header declares {header.n_points}"
-        )
-    return replace(header, chunks=tuple(chunks))
+        streamed = _read_stream(f)
+        sp.set(n_chunks=len(streamed.chunks))
+    return streamed

@@ -28,7 +28,6 @@ def parallel_kmeans1d(
     centroids: np.ndarray,
     max_iter: int = 50,
     tol: float = 1e-10,
-    on_rank_failure: str = "raise",
 ) -> KMeansResult:
     """Distributed Lloyd's algorithm on scalar data.
 
@@ -43,33 +42,28 @@ def parallel_kmeans1d(
     centroids:
         Initial centroids; must be identical on all ranks (typically rank 0
         computes them from a sample and broadcasts).
-    on_rank_failure:
-        ``"raise"`` (default) propagates
-        :class:`~repro.parallel.faults.RankFailureError` when a peer rank
-        is lost mid-iteration.  ``"degrade"`` routes every allreduce
-        through the failure-absorbing degraded collectives: the moments of
-        lost ranks simply stop contributing, the survivors keep stepping
-        to identical centroids, and the per-point guarantee downstream is
-        untouched (the centroids only steer bin placement).
+
+    Every allreduce runs through the failure-absorbing degraded
+    collectives: when a peer rank is lost mid-iteration its moments simply
+    stop contributing, the survivors keep stepping to identical centroids,
+    and the per-point guarantee downstream is untouched (the centroids
+    only steer bin placement).  Loss of rank 0 raises
+    :class:`~repro.parallel.faults.RankFailureError`.
 
     Returns
     -------
     KMeansResult
         ``labels`` are for the *local* shard; ``centroids``, ``inertia``
-        and convergence flags are global and identical on every rank
-        (every *surviving* rank, under ``"degrade"``).
+        and convergence flags are global and identical on every surviving
+        rank.
     """
     comm = comm if comm is not None else SerialComm()
-    if on_rank_failure not in ("raise", "degrade"):
-        raise ValueError(f"unknown on_rank_failure {on_rank_failure!r}")
-    allreduce = (comm.allreduce_degraded if on_rank_failure == "degrade"
-                 else comm.allreduce)
     arr = np.asarray(local_data, dtype=np.float64).ravel()
     cent = np.sort(np.asarray(centroids, dtype=np.float64).ravel())
     k = cent.size
     if k < 1:
         raise ValueError("need at least one centroid")
-    n_global = allreduce(arr.size)
+    n_global = comm.allreduce_degraded(arr.size)
     if n_global == 0:
         raise ValueError("global data set is empty")
 
@@ -79,8 +73,8 @@ def parallel_kmeans1d(
         # Global data span for the relative movement tolerance.
         local_lo = float(arr.min()) if arr.size else np.inf
         local_hi = float(arr.max()) if arr.size else -np.inf
-        lo = allreduce(local_lo, op=min)
-        hi = allreduce(local_hi, op=max)
+        lo = comm.allreduce_degraded(local_lo, op=min)
+        hi = comm.allreduce_degraded(local_hi, op=max)
         span = hi - lo
         move_tol = tol * (span if span > 0 else 1.0)
 
@@ -89,14 +83,14 @@ def parallel_kmeans1d(
         # *after* assignment (and reusing them for the next update) keeps
         # it at one allreduce per sweep.
         local_sumsq = float(np.sum(arr * arr)) if arr.size else 0.0
-        sumsq = allreduce(local_sumsq)
+        sumsq = comm.allreduce_degraded(local_sumsq)
         moments = _SortedMoments(arr)
 
         def local_sums(cent: np.ndarray) -> np.ndarray:
             counts, sums = moments(cent)
             return np.column_stack((sums, counts))
 
-        sums = allreduce(local_sums(cent))
+        sums = comm.allreduce_degraded(local_sums(cent))
         history: list[float] = []
         n_iter = 0
         converged = False
@@ -107,7 +101,7 @@ def parallel_kmeans1d(
             new = np.sort(new)
             move = float(np.max(np.abs(new - cent)))
             cent = new
-            sums = allreduce(local_sums(cent))
+            sums = comm.allreduce_degraded(local_sums(cent))
             history.append(max(
                 sumsq - 2.0 * float(cent @ sums[:, 0])
                 + float(sums[:, 1] @ (cent * cent)),
@@ -118,7 +112,7 @@ def parallel_kmeans1d(
                 break
         labels = moments.labels(cent)
         local_inertia = float(np.sum((arr - cent[labels]) ** 2)) if arr.size else 0.0
-        inertia = allreduce(local_inertia)
+        inertia = comm.allreduce_degraded(local_inertia)
         tspan.set(n_iter=n_iter, converged=converged, inertia=inertia)
     tel.metrics.histogram("kmeans.sweeps",
                           buckets=(1, 2, 4, 8, 16, 32, 64)).observe(n_iter)

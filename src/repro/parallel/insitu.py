@@ -24,10 +24,9 @@ shared across ranks (paper: "minimal data movement (mostly in place)").
 The per-point guarantee is exactly the serial one: sharing the table only
 affects bin placement, never the exactness check.
 
-**Degraded-mode recovery** (``on_rank_failure="degrade"``, the default):
-a checkpoint must still be produced when a peer rank dies or hangs
-mid-collective, so every communication step runs through the
-failure-absorbing ``*_degraded`` collectives.  Rank 0 fits the model from
+**Degraded-mode recovery:** a checkpoint must still be produced when a
+peer rank dies or hangs mid-collective, so every communication step runs
+through the failure-absorbing ``*_degraded`` collectives.  Rank 0 fits the model from
 the samples of the *surviving* ranks and piggybacks the lost-rank set on
 its broadcasts, so all survivors agree on the membership and finish with
 identical statistics.  Crucially the per-point error bound is unaffected:
@@ -36,8 +35,7 @@ still error-checks its own points exhaustively.  The result's
 :class:`GlobalStats` then reports ``degraded=True`` with the
 ``lost_ranks``, and global counts cover survivors only.  Loss of rank 0
 itself (the recovery coordinator) is always a loud
-:class:`~repro.parallel.faults.RankFailureError`, as is any failure under
-``on_rank_failure="raise"``.
+:class:`~repro.parallel.faults.RankFailureError`.
 
 Failure detection is timeout-based and therefore *unreliable* in the
 theoretical sense: a live rank that stays silent past the communicator
@@ -102,7 +100,6 @@ def parallel_encode(
     sample_per_rank: int = 32_768,
     refine: bool = True,
     fit_mode: str = "sample",
-    on_rank_failure: str = "degrade",
     model_hint=None,
     hint_baseline: float = 0.0,
     hint_drift: float | None = None,
@@ -126,14 +123,10 @@ def parallel_encode(
       weighted-k-means model locally.  Communication is constant in both
       data size and rank count; only meaningful for ``"clustering"``.
 
-    ``on_rank_failure`` selects the failure semantics:
-
-    * ``"degrade"`` (default) -- survive lost peers: the model is fitted
-      from the surviving ranks' data and the returned stats carry
-      ``degraded=True`` plus the ``lost_ranks``.  The per-point error
-      bound E still holds on every surviving rank.
-    * ``"raise"`` -- any lost peer raises
-      :class:`~repro.parallel.faults.RankFailureError`.
+    Lost peers are survived: the model is fitted from the surviving
+    ranks' data and the returned stats carry ``degraded=True`` plus the
+    ``lost_ranks``.  The per-point error bound E still holds on every
+    surviving rank.
 
     ``model_hint`` (a :class:`~repro.core.strategies.base.BinModel` every
     rank already holds, e.g. from the previous timestep's encode) enables
@@ -151,7 +144,7 @@ def parallel_encode(
     from repro.core.change import change_ratios
     from repro.core.config import NumarckConfig
     from repro.core.encoder import _fit_model, candidate_index, encode_block
-    from repro.core.strategies.base import BinModel
+    from repro.core.strategies.base import BinModel, bounded_sample
     from repro.kmeans import parallel_kmeans1d
 
     comm = comm if comm is not None else SerialComm()
@@ -163,12 +156,6 @@ def parallel_encode(
 
     if fit_mode not in ("sample", "sketch"):
         raise ValueError(f"unknown fit_mode {fit_mode!r}")
-    if on_rank_failure not in ("degrade", "raise"):
-        raise ValueError(f"unknown on_rank_failure {on_rank_failure!r}")
-    degrade = on_rank_failure == "degrade"
-    _gather = comm.gather_degraded if degrade else comm.gather
-    _bcast = comm.bcast_degraded if degrade else comm.bcast
-    _allreduce = comm.allreduce_degraded if degrade else comm.allreduce
 
     tel = get_telemetry()
     with tel.span("insitu.parallel_encode", rank=comm.rank, size=comm.size,
@@ -185,8 +172,8 @@ def parallel_encode(
             block = encode_block(ratios, forced, curr, model_hint, cfg,
                                  cand_idx)
             with comm.phase("insitu.hint_validate"):
-                totals = _allreduce(np.array([cand.size, block.n_fail],
-                                             dtype=np.int64))
+                totals = comm.allreduce_degraded(
+                    np.array([cand.size, block.n_fail], dtype=np.int64))
             n_cand_global = int(totals[0])
             fail_frac = int(totals[1]) / n_cand_global if n_cand_global else 0.0
             drift = max(0.0, fail_frac - hint_baseline)
@@ -206,7 +193,7 @@ def parallel_encode(
 
             sketch = RatioSketch(cfg.error_bound).add(cand)
             with comm.phase("insitu.sketch_allreduce"):
-                sketch.counts = _allreduce(sketch.counts)
+                sketch.counts = comm.allreduce_degraded(sketch.counts)
             if sketch.total:
                 reps = sketch.fit_model(cfg.n_bins,
                                         max_iter=cfg.kmeans_max_iter).representatives
@@ -214,14 +201,10 @@ def parallel_encode(
                 reps = np.empty(0)
         else:
             # -- bounded-sample gather and root-side model fit ---------------
-            rng = np.random.default_rng(cfg.seed + comm.rank)
-            if cand.size > sample_per_rank:
-                idx = rng.choice(cand.size, size=sample_per_rank - 2, replace=False)
-                sample = np.concatenate([cand[idx], [cand.min(), cand.max()]])
-            else:
-                sample = cand
+            sample = bounded_sample(cand, sample_per_rank,
+                                    cfg.seed + comm.rank)
             with comm.phase("insitu.sample_gather"):
-                gathered = _gather(sample, root=0)
+                gathered = comm.gather_degraded(sample, root=0)
             if comm.rank == 0:
                 live = [g for g in (gathered or [])
                         if g is not None and g.size]
@@ -237,7 +220,7 @@ def parallel_encode(
             else:
                 payload = None
             with comm.phase("insitu.fit_bcast"):
-                payload = _bcast(payload, root=0)
+                payload = comm.bcast_degraded(payload, root=0)
             reps, lost_at_fit = payload
             # Survivors adopt the root's view of the membership so later
             # collectives skip the casualties without re-detecting them.
@@ -247,8 +230,7 @@ def parallel_encode(
         if refine and not reused and cfg.strategy == "clustering" and reps.size > 1:
             with comm.phase("insitu.refine"):
                 refined = parallel_kmeans1d(comm, cand, reps,
-                                            max_iter=cfg.kmeans_max_iter,
-                                            on_rank_failure=on_rank_failure)
+                                            max_iter=cfg.kmeans_max_iter)
                 candidate = np.unique(refined.centroids)
                 # Safeguard as in the serial strategy: keep the refinement
                 # only if it does not cover fewer local+global points than
@@ -258,7 +240,7 @@ def parallel_encode(
                     local = int(np.count_nonzero(
                         np.abs(m.approximate(cand) - cand) >= cfg.error_bound
                     )) if cand.size else 0
-                    return _allreduce(local)
+                    return comm.allreduce_degraded(local)
 
                 if global_fails(candidate) <= global_fails(reps):
                     reps = candidate
@@ -274,7 +256,7 @@ def parallel_encode(
         local[:2] = encoded.n_points, encoded.n_incompressible
         local[2 + comm.rank] = 1
         with comm.phase("insitu.stats"):
-            totals = _allreduce(local)
+            totals = comm.allreduce_degraded(local)
         lost = [int(r) for r in np.flatnonzero(totals[2:] == 0)]
         stats = GlobalStats(
             n_points=int(totals[0]),

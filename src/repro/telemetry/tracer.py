@@ -29,7 +29,6 @@ scripts gain traces without a single code change.
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
 import tracemalloc
@@ -38,21 +37,6 @@ from contextvars import ContextVar
 from typing import Any, Iterator
 
 from repro.telemetry.metrics import MetricsRegistry, NullMetricsRegistry
-
-try:  # pragma: no cover - resource is POSIX-only
-    import resource
-except ImportError:  # pragma: no cover
-    resource = None
-
-
-def _rss_peak_kb() -> float | None:
-    """Process high-water RSS in KiB (``None`` where unsupported)."""
-    if resource is None:  # pragma: no cover - non-POSIX
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - reported in bytes
-        peak /= 1024
-    return float(peak)
 
 __all__ = [
     "Span",
@@ -128,7 +112,7 @@ class Span:
         return None
 
     def _record_memory(self) -> None:
-        """Attach peak-memory gauges; propagate the peak to the parent.
+        """Attach the peak-memory gauge; propagate the peak to the parent.
 
         ``tracemalloc``'s peak is process-global and we reset it on every
         span entry, so each span only sees the peak since its *youngest
@@ -140,9 +124,6 @@ class Span:
         peak = max(peak, self._mem_peak)
         self.attrs["mem_py_peak_kb"] = round(
             max(peak - self._mem_start, 0) / 1024, 3)
-        rss = _rss_peak_kb()
-        if rss is not None:
-            self.attrs["mem_rss_peak_kb"] = rss
         tracemalloc.reset_peak()
         stack = self._tel._stack()
         if len(stack) >= 2 and stack[-1] is self:
@@ -231,11 +212,10 @@ class Telemetry:
         producers that only stream to a sink can turn this off to bound
         memory.
     memory:
-        Attach peak-memory gauges to every span: ``mem_py_peak_kb``
-        (peak python-heap growth inside the span, via ``tracemalloc``)
-        and ``mem_rss_peak_kb`` (process high-water RSS).  Starts
-        ``tracemalloc`` if it is not already tracing (and stops it again
-        on :meth:`close`).  Tracing allocations slows allocation-heavy
+        Attach a peak-memory gauge to every span: ``mem_py_peak_kb``,
+        the peak python-heap growth inside the span, via ``tracemalloc``.
+        Starts ``tracemalloc`` if it is not already tracing (and stops it
+        again on :meth:`close`).  Tracing allocations slows allocation-heavy
         code noticeably, so timing-sensitive runs should measure time
         and memory in separate passes (``repro.bench`` does).
     """

@@ -35,10 +35,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             NumarckConfig(reference="future")
 
-    def test_bad_init(self):
-        with pytest.raises(ConfigError):
-            NumarckConfig(kmeans_init="zeros")
-
     def test_bad_max_iter(self):
         with pytest.raises(ConfigError):
             NumarckConfig(kmeans_max_iter=0)

@@ -2,6 +2,8 @@
 
 * float64 containers keep their exact bytes (sha256 pins), multi-variable
   files with per-variable table references included;
+* float32 and mixed-dtype streams keep their container bytes and the
+  values ``decode_stream`` rebuilds from them (sha256 pins);
 * for one bin table, the three drivers produce identical per-point
   output for float64 and float32 input;
 * a chain append computes the change ratios once and takes its error
@@ -23,7 +25,7 @@ from repro.core.checkpoint import CheckpointChain
 from repro.core.encoder import encode_pair
 from repro.core.metrics import iteration_stats
 from repro.core.strategies.base import BinModel
-from repro.core.streaming import _ChunkedEncoder
+from repro.core.streaming import _ChunkedEncoder, decode_stream
 from repro.io import (CheckpointFile, chain_to_bytes, encode_delta_bytes,
                       save_chains, streamed_from_bytes, streamed_to_bytes)
 from repro.parallel import SerialComm, parallel_encode
@@ -70,6 +72,47 @@ class TestPinnedFloat64Bytes:
         assert streamed.value_bits == 64
         assert _sha(streamed_to_bytes(streamed)) == (
             "560f12a79bfbc01f491329a449201d4afc52b6a492d5f5604afa3751e9c654ab")
+
+
+def _stream_case(kind: str):
+    """``(prev, streamed)`` for a float32 stream or one whose current
+    chunks mix float32 and float64."""
+    states = _states()
+    prev, curr = states[0], states[1]
+    codec = Codec(config=NumarckConfig(error_bound=1e-3, nbits=4,
+                                       strategy="log_scale"), chunk_size=700)
+    if kind == "float32":
+        prev, curr = prev.astype(np.float32), curr.astype(np.float32)
+        return prev, codec.compress_stream_arrays(prev, curr)
+    curr_chunks = [c.astype(np.float32) if i % 2 else c
+                   for i, c in enumerate(np.array_split(curr, 5))]
+    return prev, codec.compress_stream(lambda: iter(np.array_split(prev, 5)),
+                                       lambda: iter(curr_chunks))
+
+
+class TestPinnedStreamBytes:
+    """sha256 pins of a float32 and a mixed-dtype stream: the container
+    bytes, and the values ``decode_stream`` rebuilds from those bytes."""
+
+    @pytest.mark.parametrize("kind,value_bits,blob_digest,decoded_digest", [
+        ("float32", 32,
+         "6c6e7513ca3dd215a5aa52d5cbba97b6083d1503965814d320ef7748ebb0fbe0",
+         "ba003fd091d0d30dc0977e43010df61641bb155ec42ccf36c75cd0278428fddd"),
+        ("mixed", 64,
+         "39a2a45d9b8620c062e1792ce59ef28af6db2d2796511eb108e7381a71b512e0",
+         "7129c737aecf9ba58720366fa8be423d492d51ae4f8636a95ff311768a7244c0"),
+    ], ids=["float32", "mixed"])
+    def test_bytes_and_decode(self, kind, value_bits, blob_digest,
+                              decoded_digest):
+        prev, streamed = _stream_case(kind)
+        assert streamed.value_bits == value_bits
+        blob = streamed_to_bytes(streamed)
+        back = streamed_from_bytes(blob)
+        out = np.concatenate(list(decode_stream(
+            iter(np.array_split(prev, len(back.chunks))), back)))
+        assert out.dtype == np.float64 and out.size == prev.size
+        assert (_sha(blob), _sha(out.tobytes())) == (blob_digest,
+                                                     decoded_digest)
 
 
 def _adaptive_chains() -> dict:

@@ -40,7 +40,7 @@ class TestRoundtrip:
                                       s.representatives)
         assert len(loaded.chunks) == len(s.chunks)
         for a, b in zip(loaded.chunks, s.chunks):
-            assert a.start == b.start
+            assert a.shape == b.shape
             np.testing.assert_array_equal(a.indices, b.indices)
             np.testing.assert_array_equal(a.incompressible, b.incompressible)
             np.testing.assert_array_equal(a.exact_values, b.exact_values)

@@ -69,17 +69,11 @@ class TestSPMD:
 
 
 def _degrade_kmeans(comm, shards, init):
-    res = parallel_kmeans1d(comm, shards[comm.rank], init, max_iter=30,
-                            on_rank_failure="degrade")
+    res = parallel_kmeans1d(comm, shards[comm.rank], init, max_iter=30)
     return comm.rank, res.centroids, res.inertia
 
 
 class TestDegradedMode:
-    def test_invalid_mode_rejected(self, rng):
-        with pytest.raises(ValueError, match="on_rank_failure"):
-            parallel_kmeans1d(SerialComm(), rng.normal(size=10),
-                              np.array([0.0]), on_rank_failure="ignore")
-
     def test_survivors_agree_after_rank_loss(self, rng):
         """Crash a rank mid-iteration: survivors converge to the k-means
         of the surviving shards, with identical centroids everywhere."""

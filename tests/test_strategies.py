@@ -55,10 +55,9 @@ class TestRegistry:
             assert isinstance(ApproximationStrategy.from_config(cfg), cls)
 
     def test_from_config_forwards_clustering_params(self):
-        cfg = NumarckConfig(strategy="clustering", kmeans_init="random",
-                            kmeans_max_iter=3)
+        cfg = NumarckConfig(strategy="clustering", kmeans_max_iter=3)
         s = ApproximationStrategy.from_config(cfg)
-        assert s.init == "random" and s.max_iter == 3
+        assert s.max_iter == 3
 
     def test_from_config_on_subclass(self):
         cfg = NumarckConfig(strategy="clustering")

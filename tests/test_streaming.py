@@ -1,5 +1,7 @@
 """Streaming (chunked two-pass) encoder tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,16 @@ from repro.core.streaming import _ChunkedEncoder
 
 def _chunks(arr, n):
     return lambda: iter(np.array_split(arr, n))
+
+
+def _concatenated(streamed):
+    """The stream's chunks joined into one flat encoded iteration."""
+    chunks = streamed.chunks
+    return replace(
+        chunks[0], shape=(streamed.n_points,),
+        indices=np.concatenate([c.indices for c in chunks]),
+        incompressible=np.concatenate([c.incompressible for c in chunks]),
+        exact_values=np.concatenate([c.exact_values for c in chunks]))
 
 
 class TestStreamingEncode:
@@ -34,7 +46,7 @@ class TestStreamingEncode:
         prev, curr = hard_pair
         cfg = NumarckConfig(error_bound=1e-3, nbits=8, strategy="clustering")
         streamed = _ChunkedEncoder(cfg, chunk_size=500).encode_arrays(prev, curr)
-        enc = streamed.as_encoded_iteration()
+        enc = _concatenated(streamed)
         out = decode_iteration(prev.ravel(), enc)
         exact = enc.incompressible
         np.testing.assert_array_equal(out[exact], curr.ravel()[exact])
@@ -56,11 +68,9 @@ class TestStreamingEncode:
         prev, curr = smooth_pair
         streamed = _ChunkedEncoder(NumarckConfig(),
                                     chunk_size=999).encode_arrays(prev, curr)
-        pos = 0
-        for c in streamed.chunks:
-            assert c.start == pos
-            pos += c.n_points
-        assert pos == streamed.n_points == prev.size
+        sizes = [c.n_points for c in streamed.chunks]
+        assert sizes == [c.size for c in np.array_split(prev, len(sizes))]
+        assert sum(sizes) == streamed.n_points == prev.size
 
     def test_unchanged_stream_no_model(self, rng):
         prev = rng.uniform(1, 2, 3000)
@@ -124,6 +134,5 @@ class TestStreamingEncode:
         streamed = _ChunkedEncoder(cfg, chunk_size=10**9,
                                     sample_size=200_000).encode_arrays(prev, curr)
         assert len(streamed.chunks) == 1
-        enc = streamed.as_encoded_iteration()
-        out = decode_iteration(prev, enc)
+        out = decode_iteration(prev, _concatenated(streamed))
         assert np.max(np.abs(out / curr - 1)) < 2e-3

@@ -213,8 +213,8 @@ class TestMemoryGauges:
             tel.close()
         attrs = tel.spans[0].attrs
         assert attrs["mem_py_peak_kb"] > 3000
-        if "mem_rss_peak_kb" in attrs:
-            assert attrs["mem_rss_peak_kb"] > 0
+        # The process RSS high-water mark is not the span's: not attached.
+        assert "mem_rss_peak_kb" not in attrs
 
     def test_child_peak_propagates_to_parent(self):
         tel = Telemetry(memory=True)

@@ -170,8 +170,9 @@ Every stage of the pipeline is instrumented through `repro.telemetry`:
   trace, so per-stage deltas sum exactly to the end-to-end delta.
 * **Memory gauges.** `Telemetry(memory=True)` (or
   `NUMARCK_TRACE_MEMORY=1`) attaches `mem_py_peak_kb` (tracemalloc
-  peak, propagated through nested spans) and `mem_rss_peak_kb` (RSS
-  high-water) to every span.
+  peak, propagated through nested spans) to every span; the process RSS
+  high-water mark is not a span's, so only `repro bench` records it, once
+  per scenario.
 """
 
 
