@@ -4,7 +4,8 @@ Not a paper artefact: establishes that encode cost grows linearly in the
 point count and sub-linearly in the bin count, which is what makes the
 method viable at checkpoint scale.  The k-means fit sorts its sample once
 (O(n log n)) and then costs O(k log n + n) per Lloyd sweep; the encoder's
-nearest-bin assignment of every point is O(n log k).
+nearest-bin assignment of every point is a lookup in a cached table, O(n)
+(O(n log k) where a crowded table falls back to binary search).
 """
 
 import time
@@ -58,8 +59,8 @@ def test_scaling(benchmark, report):
     # generous slack for fixed model-fit costs and timer noise).
     assert by_n[sizes[-1]] < 64 * max(by_n[sizes[0]], 1e-4)
     # Quadrupling the bin count (B 8 -> 10) must not quadruple time: the
-    # assignment is O(n log k) and a Lloyd sweep O(k log n + n), with
-    # k << n.
+    # assignment is O(n) (O(n log k) at worst) and a Lloyd sweep
+    # O(k log n + n), with k << n.
     assert by_k[10] < 3 * by_k[8] + 0.05
     # Throughput at the large size should be practical (hundreds of
     # kpts/s on a single modest core; C implementations would be ~100x).

@@ -53,7 +53,6 @@ from repro.core import (
     FormatError,
     NumarckConfig,
     NumarckError,
-    apply_change,
     change_ratios,
     decode_iteration,
     pearson_r,
@@ -71,7 +70,6 @@ __all__ = [
     "EncodedIteration",
     "decode_iteration",
     "change_ratios",
-    "apply_change",
     "pearson_r",
     "rmse",
     "NumarckError",

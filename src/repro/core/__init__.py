@@ -23,7 +23,7 @@ chain's iterations and refitted only on distribution drift
 """
 
 from repro.core.adaptive import AdaptiveEncoder, ReuseStats
-from repro.core.change import ChangeField, apply_change, change_ratios
+from repro.core.change import ChangeField, change_ratios
 from repro.core.checkpoint import CheckpointChain
 from repro.core.config import NumarckConfig
 from repro.core.decoder import decode_iteration
@@ -65,7 +65,6 @@ __all__ = [
     "CheckpointChain",
     "ChangeField",
     "change_ratios",
-    "apply_change",
     "EncodedIteration",
     "EncodeReport",
     "encode_pair",

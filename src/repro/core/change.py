@@ -11,7 +11,13 @@ cases:
   ``0 * (1 + 0)``, so those points stay compressible; sparse fields like
   runoff, where dry cells persist, depend on this);
 * non-finite ``prev`` or ``curr`` (NaN/inf in either iterate);
-* a non-finite or overflowing ratio (e.g. ``prev`` denormal).
+* a non-finite or overflowing ratio (e.g. ``prev`` denormal, or
+  ``curr - prev`` beyond the float64 range).
+
+These cases, and besides them only the zero pair (``0 / 0``), are exactly
+the points whose IEEE quotient is NaN or infinite: a finite quotient needs
+finite operands and ``prev != 0``.  So the mask is one ``isfinite`` pass
+over the ratios, with the zero pairs taken back out.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ChangeField", "change_ratios", "apply_change"]
+__all__ = ["ChangeField", "change_ratios"]
 
 
 @dataclass(frozen=True)
@@ -58,37 +64,22 @@ def change_ratios(prev: np.ndarray, curr: np.ndarray) -> ChangeField:
     Returns
     -------
     ChangeField
+        Forced exact are the points whose float64 quotient is NaN or
+        infinite, less the zero pairs; their ratios are set to 0.0.
     """
-    p = np.asarray(prev, dtype=np.float64)
-    c = np.asarray(curr, dtype=np.float64)
+    p = np.asarray(prev)
+    c = np.asarray(curr)
     if p.shape != c.shape:
         raise ValueError(f"shape mismatch: prev {p.shape} vs curr {c.shape}")
-
-    forced = ((p == 0.0) & (c != 0.0)) | ~np.isfinite(p) | ~np.isfinite(c)
-    # zero -> zero is representable as ratio 0 (decodes to exactly 0); make
-    # sure the division below still skips those points.
-    forced_or_zero_pair = forced | (p == 0.0)
-    ratios = np.zeros_like(c)
-    safe = ~forced_or_zero_pair
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.divide(c - p, p, out=ratios, where=safe)
-    # Ratios that overflowed (denormal prev) are also forced exact.
-    bad = safe & ~np.isfinite(ratios)
-    if bad.any():
-        forced = forced | bad
-        ratios[bad] = 0.0
+        ratios = np.subtract(c, p, out=np.empty(c.shape), dtype=np.float64)
+        np.divide(ratios, p, out=ratios)
+    forced = np.isfinite(ratios, out=np.empty(ratios.shape, dtype=bool))
+    np.logical_not(forced, out=forced)
+    if forced.any():
+        # Only here are the inputs read again, at the non-finite positions.
+        idx = np.flatnonzero(forced)
+        zero_pair = (p.ravel()[idx] == 0) & (c.ravel()[idx] == 0)
+        forced.ravel()[idx[zero_pair]] = False
+        ratios.ravel()[idx] = 0.0
     return ChangeField(ratios=ratios, forced_exact=forced)
-
-
-def apply_change(prev: np.ndarray, ratios: np.ndarray) -> np.ndarray:
-    """Rebuild the next iterate from a base and change ratios.
-
-    Implements the compressible branch of the paper's restart equation:
-    ``D'_i = D'_{i-1} * (1 + ratio')``.  Forced-exact points must be
-    overwritten by the caller (see :func:`repro.core.decoder.decode_iteration`).
-    """
-    p = np.asarray(prev, dtype=np.float64)
-    r = np.asarray(ratios, dtype=np.float64)
-    if p.shape != r.shape:
-        raise ValueError(f"shape mismatch: prev {p.shape} vs ratios {r.shape}")
-    return p * (1.0 + r)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.change import apply_change
 from repro.core.encoder import EncodedIteration
 from repro.errors import FormatError
 from repro.telemetry.tracer import get_telemetry
@@ -34,7 +33,7 @@ def decode_iteration(prev: np.ndarray, encoded: EncodedIteration) -> np.ndarray:
     numpy.ndarray
         Float64 array of ``encoded.shape``.
     """
-    p = np.asarray(prev, dtype=np.float64)
+    p = np.asarray(prev)
     if p.shape != encoded.shape:
         raise FormatError(
             f"reference shape {p.shape} does not match encoded shape {encoded.shape}"
@@ -42,8 +41,11 @@ def decode_iteration(prev: np.ndarray, encoded: EncodedIteration) -> np.ndarray:
     with get_telemetry().span("decode", n_points=encoded.n_points,
                               bytes_out=encoded.n_points * 8) as sp:
         sp.set(gamma=encoded.incompressible_ratio)
-        ratios = encoded.decoded_ratios()
-        out = apply_change(p.ravel(), ratios)
+        # D'_i = D'_{i-1} * (1 + ratio') in the ratio array's own buffer,
+        # reading the reference at its own dtype: no float64 copy of it.
+        out = encoded.decoded_ratios()
+        out += 1.0
+        out *= p.ravel()
         out[encoded.incompressible] = encoded.exact_values
         return out.reshape(encoded.shape)
 

@@ -170,9 +170,14 @@ def candidate_index(ratios: np.ndarray, forced: np.ndarray,
                     config: NumarckConfig) -> np.ndarray:
     """Flat positions of the points that need a bin: defined ratios with
     ``|ratio| >= E``, or every defined ratio when no zero index is
-    reserved (the ablation layout, whose table carries a near-zero bin)."""
+    reserved (the ablation layout, whose table carries a near-zero bin).
+
+    :func:`~repro.core.change.change_ratios` stores 0.0 as the ratio of
+    every forced point, and ``E > 0``, so ``|ratio| >= E`` alone already
+    leaves the forced points out.
+    """
     if config.reserve_zero_bin:
-        return np.flatnonzero((np.abs(ratios) >= config.error_bound) & ~forced)
+        return np.flatnonzero(np.abs(ratios) >= config.error_bound)
     return np.flatnonzero(~forced)
 
 
@@ -264,11 +269,15 @@ def encode_block(ratios: np.ndarray, forced: np.ndarray, values: np.ndarray,
         labels = table.assign(cand)
         cand_err = np.abs(table.representatives[labels] - cand)
         fail = cand_err >= config.error_bound
-        ok = ~fail
-        offset = 1 if config.reserve_zero_bin else 0
-        indices[cand_idx[ok]] = labels[ok].astype(np.uint32) + offset
-        incompressible[cand_idx[fail]] = True
         n_fail = int(np.count_nonzero(fail))
+        if config.reserve_zero_bin:
+            labels += 1
+        if n_fail:
+            ok = ~fail
+            indices[cand_idx[ok]] = labels[ok]
+            incompressible[cand_idx[fail]] = True
+        else:
+            indices[cand_idx] = labels
     values = np.asarray(values)
     return EncodedBlock(
         representatives=(table.representatives if table is not None

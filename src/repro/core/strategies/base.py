@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.kmeans.lloyd import MidpointTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import NumarckConfig
@@ -55,18 +58,21 @@ class BinModel:
     def n_bins(self) -> int:
         return int(self.representatives.size)
 
+    @cached_property
+    def _nearest(self) -> MidpointTable:
+        # Built on first use and kept: a model reused across iterations
+        # (an adaptive reuse hit) pays for its lookup table once.
+        return MidpointTable(self.representatives)
+
     def assign(self, ratios: np.ndarray) -> np.ndarray:
         """Nearest-representative bin index (int32, in ``[0, n_bins)``).
 
-        Because representatives are sorted, nearest-neighbour assignment is
-        a binary search against adjacent midpoints -- O(n log m).
+        Representatives are sorted, so the nearest one is found among the
+        midpoints of adjacent ones, ties going to the lower bin.  A cached
+        :class:`~repro.kmeans.lloyd.MidpointTable` does it by table lookup,
+        O(1) per point (binary search where a table cannot).
         """
-        reps = self.representatives
-        if reps.size == 1:
-            return np.zeros(np.asarray(ratios).shape, dtype=np.int32)
-        mids = 0.5 * (reps[:-1] + reps[1:])
-        return np.searchsorted(mids, np.asarray(ratios, dtype=np.float64),
-                               side="left").astype(np.int32)
+        return self._nearest(ratios)
 
     def approximate(self, ratios: np.ndarray) -> np.ndarray:
         """Representative ratio of each point's assigned bin."""

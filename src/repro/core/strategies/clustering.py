@@ -147,9 +147,9 @@ class ClusteringStrategy(ApproximationStrategy):
             # the equal-width prior it was seeded from.
             from repro.core.strategies.equal_width import EqualWidthStrategy
 
-            # The fail count ignores point order, and binary search runs
-            # ~3x faster over sorted keys.  A copy: the stochastic inits
-            # index into ``sample`` by position.
+            # The fail count ignores point order, and the bin assign's
+            # binary-search fallback runs ~3x faster over sorted keys.  A
+            # copy: the stochastic inits index into ``sample`` by position.
             ordered = np.sort(sample)
 
             def fails(model: BinModel) -> int:

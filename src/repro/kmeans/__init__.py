@@ -14,10 +14,11 @@ the complete algorithm:
   :class:`repro.parallel.Comm`, mirroring the paper's MPI formulation
   (local assign + local partial sums, allreduce of sums/counts).
 
-1-D assignment (:func:`assign1d`) uses ``searchsorted`` against sorted
-centroid midpoints, which is O(n log k) instead of the O(n k) distance
-matrix.  The 1-D Lloyd drivers go further: they sort the data once per fit
-(O(n log n)), after which every cluster is a contiguous sorted run and a
+1-D assignment (:func:`assign1d`, and the encoder's ``BinModel.assign``)
+places each point among the sorted centroid midpoints with a lookup table
+(:class:`~repro.kmeans.lloyd.MidpointTable`), O(1) per point instead of
+the O(n k) distance matrix.  The 1-D Lloyd drivers go further: they sort
+the data once per fit (O(n log n)), after which every cluster is a contiguous sorted run and a
 sweep costs O(k log n + n) -- the main reason the clustering strategy
 stays fast at checkpoint scale.
 """

@@ -3,9 +3,11 @@
 The 1-D specialisation matters: NUMARCK clusters *scalar* change ratios
 with k up to 2^B - 1 (255 or 511), and the O(n k) distance matrix of the
 textbook formulation would dominate compression time.  For sorted
-centroids, the nearest centroid of a scalar x is found by binary search
-against the midpoints between adjacent centroids (:func:`assign1d`,
-O(n log k); the encoder's per-point assignment).
+centroids, the nearest centroid of a scalar x is placed among the
+midpoints between adjacent centroids by a lookup table over the midpoint
+span (:class:`MidpointTable`, O(1) per point, binary search as its
+fallback); it serves :func:`assign1d` and the encoder's per-point
+assignment alike.
 
 Lloyd goes further: in 1-D every cluster is a contiguous run of the
 *sorted* data, so :func:`kmeans1d` sorts the points once per fit
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.telemetry.tracer import get_telemetry
 
-__all__ = ["KMeansResult", "assign1d", "kmeans1d", "kmeans"]
+__all__ = ["KMeansResult", "MidpointTable", "assign1d", "kmeans1d", "kmeans"]
 
 
 @dataclass(frozen=True)
@@ -58,21 +60,75 @@ class KMeansResult:
     inertia_history: tuple[float, ...] = ()
 
 
+#: Cells of :class:`MidpointTable`'s lookup table, and the most midpoints
+#: one cell may hold before the table gives way to a binary search.
+_CELLS = 4096
+_MAX_PER_CELL = 8
+
+
+class MidpointTable:
+    """Nearest-centroid labels of scalar data against *sorted* centroids.
+
+    A label is ``searchsorted(mids, x, side="left")`` over the midpoints
+    between adjacent centroids, so ties go to the lower centroid.  A
+    lookup table finds it in O(1) per point: ``cell(x) = int(clip((x - lo)
+    * scale, 0, _CELLS - 1))`` cuts the midpoint span into equal cells,
+    and the table counts the midpoints in lower cells.  ``cell`` is
+    monotone and bins midpoints and points alike, so a midpoint in a lower
+    cell is below ``x`` and one in a higher cell above it: one comparison
+    per midpoint of the fullest cell completes the exact count.  A span
+    with no finite positive ``scale``, or a cell holding more than
+    ``_MAX_PER_CELL`` midpoints, falls back to the binary search.
+    """
+
+    def __init__(self, centroids: np.ndarray):
+        cent = np.asarray(centroids, dtype=np.float64)
+        if cent.ndim != 1 or cent.size == 0:
+            raise ValueError("centroids must be a non-empty 1-D array")
+        self._base = None
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # Huge centroids may give a +-inf midpoint: binary search only.
+            self.mids = 0.5 * (cent[:-1] + cent[1:])
+            if self.mids.size == 0:
+                return
+            self._lo = self.mids[0]
+            self._scale = _CELLS / (self.mids[-1] - self._lo)
+        if np.isfinite(self._scale) and self._scale > 0:
+            cells = self._cells(self.mids)
+            self._steps = int(np.bincount(cells).max())
+            if self._steps <= _MAX_PER_CELL:
+                self._base = np.searchsorted(cells, np.arange(_CELLS))
+                # A trailing +inf stops a step that runs off the last cell.
+                self._padded = np.append(self.mids, np.inf)
+
+    def _cells(self, x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            t = np.subtract(x, self._lo, out=np.empty(x.shape))
+            t *= self._scale
+        np.clip(t, 0, _CELLS - 1, out=t)
+        # Pointer-sized indices gather faster than int32 ones.
+        return t.astype(np.intp)
+
+    def __call__(self, data: np.ndarray) -> np.ndarray:
+        """Label per point (int32, same shape as ``data``)."""
+        x = np.asarray(data, dtype=np.float64)
+        if self._base is None or np.isnan(x).any():
+            # NaN sorts after every midpoint, which only the search knows.
+            return np.searchsorted(self.mids, x, side="left").astype(np.int32)
+        labels = self._base[self._cells(x)]
+        for _ in range(self._steps):
+            labels += self._padded[labels] < x
+        return labels.astype(np.int32)
+
+
 def assign1d(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid labels for scalar data against *sorted* centroids.
 
-    Ties at a midpoint go to the lower centroid (``searchsorted`` with
-    ``side='left'`` keeps the midpoint itself in the left bin); any
-    consistent rule works for Lloyd convergence.
+    Ties at a midpoint go to the lower centroid (see
+    :class:`MidpointTable`); any consistent rule works for Lloyd
+    convergence.
     """
-    data = np.asarray(data, dtype=np.float64)
-    centroids = np.asarray(centroids, dtype=np.float64)
-    if centroids.ndim != 1 or centroids.size == 0:
-        raise ValueError("centroids must be a non-empty 1-D array")
-    if centroids.size == 1:
-        return np.zeros(data.shape, dtype=np.int32)
-    mids = 0.5 * (centroids[:-1] + centroids[1:])
-    return np.searchsorted(mids, data, side="left").astype(np.int32)
+    return MidpointTable(centroids)(data)
 
 
 class _SortedMoments:
@@ -121,13 +177,6 @@ class _SortedMoments:
             sums[filled] = np.add.reduceat(self.wxs, starts)
         return counts, sums
 
-    def labels(self, cent: np.ndarray) -> np.ndarray:
-        """Labels of the points, in input order, against ``cent``."""
-        labels = np.empty(self.xs.size, dtype=np.int32)
-        labels[self.order] = np.repeat(
-            np.arange(cent.size, dtype=np.int32), np.diff(self._edges(cent)))
-        return labels
-
 
 def kmeans1d(
     data: np.ndarray,
@@ -172,8 +221,7 @@ def kmeans1d(
     O(k log n + n): a binary search of the k - 1 centroid midpoints in
     the sorted data plus one pass of segment sums.  Centroids are
     re-sorted after every update so the midpoints stay ordered.  Labels
-    follow :func:`assign1d`'s tie rule exactly and are scattered back to
-    input order once, after the last sweep.
+    come from :func:`assign1d` once, after the last sweep.
     """
     arr = np.asarray(data, dtype=np.float64).ravel()
     if arr.size == 0:
@@ -230,7 +278,7 @@ def kmeans1d(
             if move <= move_tol:
                 converged = True
                 break
-        labels = moments.labels(cent)
+        labels = assign1d(arr, cent)
         sq = (arr - cent[labels]) ** 2
         inertia = float(np.sum(sq if w is None else sq * w))
         tspan.set(n_iter=n_iter, converged=converged, inertia=inertia)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kmeans.lloyd import KMeansResult, _SortedMoments
+from repro.kmeans.lloyd import KMeansResult, _SortedMoments, assign1d
 from repro.parallel.comm import Comm, SerialComm
 from repro.telemetry.tracer import get_telemetry
 
@@ -110,7 +110,7 @@ def parallel_kmeans1d(
             if move <= move_tol:
                 converged = True
                 break
-        labels = moments.labels(cent)
+        labels = assign1d(arr, cent)
         local_inertia = float(np.sum((arr - cent[labels]) ** 2)) if arr.size else 0.0
         inertia = comm.allreduce_degraded(local_inertia)
         tspan.set(n_iter=n_iter, converged=converged, inertia=inertia)

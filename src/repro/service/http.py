@@ -75,6 +75,14 @@ class _Handler(BaseHTTPRequestHandler):
         with use(self.server.telemetry):  # type: ignore[attr-defined]
             super().handle()
 
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        except ConnectionError:
+            # The client hung up, mid-request or while the connection sat
+            # idle between two: nobody reads an answer, so write none.
+            self.close_connection = True
+
     def log_message(self, fmt: str, *args: Any) -> None:
         # Access logging is off: the base class would write every request
         # to stderr, and requests open no telemetry span either.
@@ -121,13 +129,6 @@ class _Handler(BaseHTTPRequestHandler):
             {"error": {"type": type(exc).__name__, "message": str(exc)}},
             status=status, headers=headers,
         )
-
-    def _dispatch(self, method: str) -> None:
-        try:
-            self._respond(method)
-        except ConnectionError:
-            # The client hung up: nobody reads an answer, so write none.
-            self.close_connection = True
 
     def _respond(self, method: str) -> None:
         try:
@@ -255,10 +256,10 @@ class _Handler(BaseHTTPRequestHandler):
         return inner or None
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
+        self._respond("GET")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
+        self._respond("POST")
 
 
 class ServiceServer:

@@ -5,7 +5,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import apply_change, change_ratios
+from repro.core import EncodedIteration, change_ratios, decode_iteration
+
+#: Edge values of the transform: zeros of both signs, NaN, +-inf, the
+#: smallest subnormal and normal, and magnitudes whose difference overflows.
+_EDGES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+          2.2250738585072014e-308, 1.0, -1.0, 1e300,
+          1.7976931348623157e308, -1.7976931348623157e308]
+_DTYPES = [(np.float64, np.float64), (np.float32, np.float32),
+           (np.int64, np.int64), (np.float32, np.float64),
+           (np.int32, np.float64), (np.float64, np.int16)]
+
+
+def _reference_change_ratios(prev, curr):
+    """The mask-first formula: the forced mask from the inputs, then a
+    ``where=`` divide over the rest, then the overflowed ratios forced."""
+    p = np.asarray(prev, dtype=np.float64)
+    c = np.asarray(curr, dtype=np.float64)
+    forced = ((p == 0.0) & (c != 0.0)) | ~np.isfinite(p) | ~np.isfinite(c)
+    safe = ~(forced | (p == 0.0))
+    ratios = np.zeros_like(c)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(c - p, p, out=ratios, where=safe)
+    bad = safe & ~np.isfinite(ratios)
+    ratios[bad] = 0.0
+    return ratios, forced | bad
+
+
+def _as_dtype(values, dtype):
+    if np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        values = np.clip(np.nan_to_num(values), max(info.min, -2.0**53),
+                         min(info.max, 2.0**53))
+    with np.errstate(over="ignore"):
+        return np.asarray(values).astype(dtype)
+
+
+def _rebuild(prev, ratios):
+    """``decode_iteration`` of an iteration whose table holds every ratio
+    exactly: the restart equation ``prev * (1 + ratio)`` alone."""
+    reps, inverse = np.unique(ratios, return_inverse=True)
+    n = np.size(ratios)
+    enc = EncodedIteration(
+        shape=np.shape(ratios), nbits=int(reps.size).bit_length(),
+        representatives=reps,
+        indices=inverse.ravel().astype(np.uint32) + 1,
+        incompressible=np.zeros(n, dtype=bool),
+        exact_values=np.empty(0), error_bound=1e-3, strategy="equal_width")
+    return decode_iteration(prev, enc)
 
 
 class TestChangeRatios:
@@ -63,20 +110,23 @@ class TestChangeRatios:
 
 
 class TestApplyChange:
+    """The restart equation ``D'_i = D'_{i-1} (1 + ratio)``, applied by
+    :func:`decode_iteration`."""
+
     def test_inverse_of_change_ratios(self, rng):
         prev = rng.uniform(0.5, 3.0, 1000)
         curr = prev * rng.uniform(0.9, 1.1, 1000)
         field = change_ratios(prev, curr)
-        rebuilt = apply_change(prev, field.ratios)
+        rebuilt = _rebuild(prev, field.ratios)
         np.testing.assert_allclose(rebuilt, curr, rtol=1e-12)
 
     def test_zero_ratio_carries_value(self):
         prev = np.array([3.0, -7.0])
-        np.testing.assert_array_equal(apply_change(prev, np.zeros(2)), prev)
+        np.testing.assert_array_equal(_rebuild(prev, np.zeros(2)), prev)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            apply_change(np.zeros(2), np.zeros(3))
+            _rebuild(np.zeros(2), np.zeros(3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,6 +138,27 @@ def test_property_roundtrip_where_defined(seed, n):
     prev[rng.random(n) < 0.1] = 0.0
     curr = rng.normal(size=n)
     field = change_ratios(prev, curr)
-    rebuilt = apply_change(prev, field.ratios)
+    rebuilt = prev * (1.0 + field.ratios)
     ok = ~field.forced_exact
     np.testing.assert_allclose(rebuilt[ok], curr[ok], rtol=1e-9, atol=1e-12)
+
+
+_value = st.one_of(st.sampled_from(_EDGES), st.floats(width=64),
+                   st.floats(width=32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_value, _value), min_size=1, max_size=40),
+       dtypes=st.sampled_from(_DTYPES))
+def test_property_matches_reference_bit_for_bit(pairs, dtypes):
+    """Ratios and forced mask equal the mask-first formula's, bit for bit,
+    on zeros of either sign, NaN, +-inf, subnormal references, overflowing
+    differences and integer, float32 and mixed dtypes."""
+    values = np.array(pairs, dtype=np.float64)
+    prev = _as_dtype(values[:, 0], dtypes[0])
+    curr = _as_dtype(values[:, 1], dtypes[1])
+    want_ratios, want_forced = _reference_change_ratios(prev, curr)
+    field = change_ratios(prev, curr)
+    assert field.ratios.dtype == np.float64
+    assert field.ratios.tobytes() == want_ratios.tobytes()
+    np.testing.assert_array_equal(field.forced_exact, want_forced)

@@ -7,6 +7,7 @@ transfer and error mapping are exercised end to end.
 
 import os
 import socket
+import struct
 import threading
 import time
 
@@ -337,6 +338,32 @@ class TestErrorMapping:
     def test_unknown_route_404(self, client):
         with pytest.raises(NumarckError):
             client._json("GET", "/v1/nope")
+
+    def test_reset_after_error_reply_prints_no_traceback(self, server,
+                                                         capfd):
+        # A client reads an error reply on a keep-alive connection, then
+        # resets the connection: the request thread, back in
+        # ``rfile.readline`` for the next request, must end quietly.
+        import http.client
+
+        before = set(threading.enumerate())
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=30)
+        conn.request("GET", "/v1/nope")
+        resp = conn.getresponse()
+        assert resp.status == 404
+        resp.read()
+        handlers = [t for t in set(threading.enumerate()) - before
+                    if "process_request" in t.name]
+        assert handlers
+        # Zero linger: close() sends a reset instead of a FIN.
+        conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                             struct.pack("ii", 1, 0))
+        conn.close()
+        for thread in handlers:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestPersistence:

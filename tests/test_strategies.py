@@ -18,6 +18,52 @@ E = 1e-3
 K = 255
 
 
+_HUGE = np.finfo(np.float64).max
+
+
+@st.composite
+def _tables(draw):
+    """Sorted representative tables for :class:`BinModel`: spread out,
+    crowded into one lookup cell (duplicates included), spanning a
+    subnormal width, or near the float64 limit so ``x - lo`` overflows."""
+    n = draw(st.sampled_from([1, 2, 3, 17, 255]))
+    kind = draw(st.sampled_from(["spread", "crowded", "denormal", "huge"]))
+    unit = st.floats(0.0, 1.0)
+    if kind == "denormal":
+        steps = draw(st.lists(st.integers(0, 64), min_size=n, max_size=n))
+        return np.sort(np.array(steps) * 5e-324)
+    if kind == "huge":
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        fracs = draw(st.lists(unit, min_size=n, max_size=n))
+        return np.sort(sign * _HUGE * (1.0 - 0.1 * np.array(fracs)))
+    reps = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n,
+                                  max_size=n)))
+    if kind == "crowded":
+        crowd = draw(st.integers(1, n))
+        width = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+        offsets = np.array(draw(st.lists(unit, min_size=crowd,
+                                         max_size=crowd)))
+        reps[:crowd] = reps[0] + width * offsets
+    return np.sort(reps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reps=_tables(), extra=st.lists(st.floats(), max_size=60))
+def test_property_assign_matches_searchsorted(reps, extra):
+    """The lookup-table assign is ``searchsorted(mids, x, side="left")``
+    exactly: on midpoints and their neighbours, on points beyond both
+    ends of the table, on +-0.0, +-inf and NaN, and where ``x - lo``
+    overflows."""
+    with np.errstate(over="ignore"):
+        mids = 0.5 * (reps[:-1] + reps[1:])
+    x = np.concatenate([
+        extra, [0.0, -0.0, -np.inf, np.inf, -_HUGE, _HUGE], reps, mids,
+        np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)])
+    got = BinModel(reps).assign(x)
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, np.searchsorted(mids, x, side="left"))
+
+
 class TestBinModel:
     def test_assign_nearest(self):
         model = BinModel(np.array([-1.0, 0.0, 2.0]))
@@ -28,6 +74,14 @@ class TestBinModel:
         model = BinModel(np.array([0.0, 10.0]))
         np.testing.assert_array_equal(model.approximate(np.array([1.0, 9.0])),
                                       [0.0, 10.0])
+
+    def test_lookup_table_built_once(self):
+        model = BinModel(np.linspace(-1.0, 1.0, 9))
+        first = model.assign(np.array([0.1, -0.6]))
+        table = model._nearest
+        np.testing.assert_array_equal(model.assign(np.array([0.1, -0.6])),
+                                      first)
+        assert model._nearest is table
 
     def test_single_representative(self):
         model = BinModel(np.array([5.0]))
