@@ -43,12 +43,11 @@ def parallel_kmeans1d(
         Initial centroids; must be identical on all ranks (typically rank 0
         computes them from a sample and broadcasts).
 
-    Every allreduce runs through the failure-absorbing degraded
-    collectives: when a peer rank is lost mid-iteration its moments simply
-    stop contributing, the survivors keep stepping to identical centroids,
-    and the per-point guarantee downstream is untouched (the centroids
-    only steer bin placement).  Loss of rank 0 raises
-    :class:`~repro.parallel.faults.RankFailureError`.
+    Every allreduce absorbs the loss of a peer rank: when a peer is lost
+    mid-iteration its moments simply stop contributing, the survivors
+    keep stepping to identical centroids, and the per-point guarantee
+    downstream is untouched (the centroids only steer bin placement).
+    Loss of rank 0 raises :class:`~repro.parallel.faults.RankFailureError`.
 
     Returns
     -------
@@ -63,7 +62,7 @@ def parallel_kmeans1d(
     k = cent.size
     if k < 1:
         raise ValueError("need at least one centroid")
-    n_global = comm.allreduce_degraded(arr.size)
+    n_global = comm.allreduce(arr.size)
     if n_global == 0:
         raise ValueError("global data set is empty")
 
@@ -73,8 +72,8 @@ def parallel_kmeans1d(
         # Global data span for the relative movement tolerance.
         local_lo = float(arr.min()) if arr.size else np.inf
         local_hi = float(arr.max()) if arr.size else -np.inf
-        lo = comm.allreduce_degraded(local_lo, op=min)
-        hi = comm.allreduce_degraded(local_hi, op=max)
+        lo = comm.allreduce(local_lo, op=min)
+        hi = comm.allreduce(local_hi, op=max)
         span = hi - lo
         move_tol = tol * (span if span > 0 else 1.0)
 
@@ -83,14 +82,14 @@ def parallel_kmeans1d(
         # *after* assignment (and reusing them for the next update) keeps
         # it at one allreduce per sweep.
         local_sumsq = float(np.sum(arr * arr)) if arr.size else 0.0
-        sumsq = comm.allreduce_degraded(local_sumsq)
+        sumsq = comm.allreduce(local_sumsq)
         moments = _SortedMoments(arr)
 
         def local_sums(cent: np.ndarray) -> np.ndarray:
             counts, sums = moments(cent)
             return np.column_stack((sums, counts))
 
-        sums = comm.allreduce_degraded(local_sums(cent))
+        sums = comm.allreduce(local_sums(cent))
         history: list[float] = []
         n_iter = 0
         converged = False
@@ -101,7 +100,7 @@ def parallel_kmeans1d(
             new = np.sort(new)
             move = float(np.max(np.abs(new - cent)))
             cent = new
-            sums = comm.allreduce_degraded(local_sums(cent))
+            sums = comm.allreduce(local_sums(cent))
             history.append(max(
                 sumsq - 2.0 * float(cent @ sums[:, 0])
                 + float(sums[:, 1] @ (cent * cent)),
@@ -112,7 +111,7 @@ def parallel_kmeans1d(
                 break
         labels = assign1d(arr, cent)
         local_inertia = float(np.sum((arr - cent[labels]) ** 2)) if arr.size else 0.0
-        inertia = comm.allreduce_degraded(local_inertia)
+        inertia = comm.allreduce(local_inertia)
         tspan.set(n_iter=n_iter, converged=converged, inertia=inertia)
     tel.metrics.histogram("kmeans.sweeps",
                           buckets=(1, 2, 4, 8, 16, 32, 64)).observe(n_iter)

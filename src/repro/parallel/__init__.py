@@ -5,16 +5,16 @@ parallel k-means package.  This repo has no MPI runtime, so this package
 provides a small SPMD harness with the same *shape* as ``mpi4py``:
 
 * :class:`Comm` -- communicator protocol (``rank``/``size``, ``send``/
-  ``recv``, ``bcast``, ``scatter``, ``gather``, ``allgather``, ``reduce``,
-  ``allreduce``, ``barrier``), plus the failure-absorbing ``*_degraded``
-  collectives and :meth:`Comm.phase` labelling.
+  ``recv``, :meth:`Comm.phase` labelling) with one collective family:
+  ``gather``, ``bcast`` and ``allreduce``, rooted at rank 0 and
+  absorbing the loss of any other rank.
 * :class:`SerialComm` -- trivial single-process communicator, used by
   default everywhere so the library works without spawning anything.
 * :class:`PipeComm` + :func:`run_spmd` -- real multi-process SPMD execution
   over OS pipes with CRC-framed, acknowledged, deadline-bounded messaging:
-  a dead, hung, or flaky peer raises :class:`RankFailureError` on every
-  survivor instead of deadlocking, and ``run_spmd`` can respawn-and-retry
-  idempotent rank functions.
+  a flaky peer is absorbed by resends, a dead or hung one is reported in
+  ``lost_ranks`` while the survivors finish, and nothing deadlocks.  A
+  rank that finished and exited is never reported lost.
 * :class:`RankFaultInjector` -- chaos hook injecting crash / hang / drop /
   bit-flip / transient faults into the comm path, the communication-side
   sibling of :class:`repro.restart.faults.DiskFaultInjector`.

@@ -2,38 +2,45 @@
 
 Two implementations of the same protocol:
 
-* :class:`SerialComm` -- ``size == 1``; collective operations degenerate to
-  identity.  This is the default communicator for every algorithm in the
+* :class:`SerialComm` -- ``size == 1``; every collective returns its
+  input.  This is the default communicator for every algorithm in the
   library, so nothing here forces callers to pay process-spawn costs.
 * :class:`PipeComm` -- each rank is an OS process (``multiprocessing``,
   default start method) holding one duplex
   :class:`multiprocessing.connection.Connection` to every other rank.
-  Collectives are implemented with the classic linear/rooted algorithms,
-  which is plenty for the rank counts (2--8) exercised here.
 
-Unlike the seed implementation, whose ``recv`` blocked indefinitely (so a
-dead or hung rank deadlocked every survivor), :class:`PipeComm` now runs a
-small reliable-delivery protocol with bounded waits everywhere:
+There is one collective family, written once on :class:`Comm` over
+point-to-point ``send``/``recv``: :meth:`~Comm.gather`,
+:meth:`~Comm.bcast` and :meth:`~Comm.allreduce`, the three
+root-coordinated steps of an in-situ encode (gather a sample, broadcast
+the bin table, allreduce the counts).  Each is rooted at rank 0 and
+absorbs peer failures: rank 0 keeps going with the survivors and
+piggybacks its lost-rank set on the allreduce result, so every survivor
+leaves with the same view of the membership.  Loss of rank 0 itself is
+always fatal (fail loudly).  The linear algorithms are plenty for the
+rank counts (2--8) exercised here.
+
+:class:`PipeComm` runs a small reliable-delivery protocol with bounded
+waits everywhere:
 
 * every payload is pickled and framed with a sequence number and CRC32;
 * every DATA frame is acknowledged; the receiver NAKs corrupt frames and
   the sender resends (bounded by ``max_resends``), which also recovers
   silently dropped messages via an ack-timeout retransmit;
 * transient ``OSError`` on a pipe operation is retried with exponential
-  backoff; connection loss (EOF / broken pipe -- the OS closes a dead
-  rank's pipe ends, so death is usually detected instantly) and deadline
-  expiry raise :class:`~repro.parallel.faults.RankFailureError` instead
-  of blocking forever;
+  backoff, and deadline expiry raises
+  :class:`~repro.parallel.faults.RankFailureError` instead of blocking
+  forever;
+* a peer whose connection closes (EOF -- the OS closes a dead rank's
+  pipe ends, so death is usually detected instantly) has *departed*.
+  That is a failure only once this rank still needs the peer: a later
+  ``send`` to it, or a ``recv`` from it with no message left in the
+  inbox.  A rank that finished and exited is therefore never reported
+  lost.  Control frames (ACK, NAK, heartbeat) ignore a closed link, so
+  they never decide a loss;
 * a :class:`~repro.parallel.faults.RankFaultInjector` can be hooked into
   the frame path to inject crash / hang / drop / bit-flip / transient
-  faults for chaos testing, mirroring the disk write hook of PR 1.
-
-On top of the strict collectives (which raise ``RankFailureError`` on any
-lost peer), the ``*_degraded`` collectives implement graceful
-degradation for root-coordinated algorithms: rank 0 absorbs peer
-failures, keeps going with the survivors, and piggybacks the lost-rank
-set on its broadcasts so every survivor converges on the same view of
-the membership.  Loss of rank 0 itself is always fatal (fail loudly).
+  faults for chaos testing, mirroring the disk write hook.
 
 One caveat: pipe writes larger than the kernel buffer to a peer that is
 *alive but not draining* can block in the OS; the ``run_spmd`` parent
@@ -68,8 +75,9 @@ class Comm:
     """Protocol for a communicator.
 
     Concrete subclasses provide :attr:`rank`, :attr:`size` and point-to-point
-    ``send``/``recv``; the collectives below are implemented generically on
-    top of those, with the linear algorithms rooted at rank 0.
+    ``send``/``recv``; the three collectives below are written once on top
+    of those, rooted at rank 0 (the recovery coordinator), and absorb the
+    loss of any other rank.
     """
 
     rank: int
@@ -101,109 +109,68 @@ class Comm:
         """Ranks this communicator has detected as lost (sorted)."""
         return ()
 
-    def note_lost(self, ranks: Sequence[int],
-                  reason: str = "reported by root") -> None:
+    def note_lost(self, ranks: Sequence[int]) -> None:
         """Record peer failures learned out-of-band (e.g. from a root
         broadcast); a no-op for communicators without peers."""
 
     # -- collectives -----------------------------------------------------
-    def barrier(self) -> None:
-        """Block until every rank has entered the barrier."""
-        # Linear barrier: everyone pings 0, then 0 pongs everyone.
-        if self.size == 1:
-            return
-        if self.rank == 0:
-            for src in range(1, self.size):
-                self.recv(src)
-            for dst in range(1, self.size):
-                self.send(None, dst)
-        else:
-            self.send(None, 0)
-            self.recv(0)
+    def gather(self, obj: Any) -> list[Any] | None:
+        """Gather one object from every rank to rank 0 (``None`` elsewhere).
 
-    def bcast(self, obj: Any, root: int = 0) -> Any:
-        """Broadcast ``obj`` from ``root`` to all ranks; returns the object."""
-        if self.size == 1:
-            return obj
-        if self.rank == root:
-            for dst in range(self.size):
-                if dst != root:
-                    self.send(obj, dst)
-            return obj
-        return self.recv(root)
-
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter one element of ``objs`` (length ``size``) to each rank."""
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError(f"scatter needs exactly {self.size} items at root")
-            for dst in range(self.size):
-                if dst != root:
-                    self.send(objs[dst], dst)
-            return objs[root]
-        return self.recv(root)
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        """Gather one object from every rank to ``root`` (``None`` elsewhere)."""
-        if self.rank == root:
-            out: list[Any] = [None] * self.size
-            out[root] = obj
-            for src in range(self.size):
-                if src != root:
-                    out[src] = self.recv(src)
-            return out
-        self.send(obj, root)
-        return None
-
-    def allgather(self, obj: Any) -> list[Any]:
-        """Gather to rank 0, then broadcast the full list."""
-        gathered = self.gather(obj, root=0)
-        return self.bcast(gathered, root=0)
-
-    def reduce(self, obj: Any, op: Callable[[Any, Any], Any] = operator.add,
-               root: int = 0) -> Any | None:
-        """Reduce objects from all ranks with ``op`` at ``root``.
-
-        ``op`` must be associative; application order is by ascending rank.
-        Returns the reduction at ``root`` and ``None`` elsewhere.
+        Rank 0 absorbs peer failures: a lost rank contributes ``None`` and
+        is recorded in :attr:`lost_ranks`.  Loss of rank 0 raises.
         """
-        gathered = self.gather(obj, root=root)
-        if gathered is None:
+        if self.rank != 0:
+            self.send(obj, 0)
             return None
-        return _functools_reduce(op, gathered)
+        out: list[Any] = [None] * self.size
+        out[0] = obj
+        for src in range(1, self.size):
+            if src in self.lost_ranks:
+                continue
+            try:
+                out[src] = self.recv(src)
+            except RankFailureError:
+                pass  # recorded in lost_ranks; the survivors keep going
+        return out
+
+    def bcast(self, obj: Any) -> Any:
+        """Broadcast rank 0's ``obj`` to every rank; returns the object.
+
+        Rank 0 skips ranks already known lost and absorbs fresh send
+        failures.  Loss of rank 0 raises.
+        """
+        if self.rank != 0:
+            return self.recv(0)
+        for dst in range(1, self.size):
+            if dst in self.lost_ranks:
+                continue
+            try:
+                self.send(obj, dst)
+            except RankFailureError:
+                pass
+        return obj
 
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any] = operator.add) -> Any:
-        """Reduce with ``op`` and broadcast the result to every rank."""
-        return self.bcast(self.reduce(obj, op=op, root=0), root=0)
+        """Reduce ``obj`` over the surviving ranks and return it on every rank.
 
-    # -- degraded collectives (root-coordinated, failure-absorbing) -------
-    #
-    # The defaults delegate to the strict versions, so SerialComm and any
-    # custom failure-free communicator satisfy the protocol for free;
-    # PipeComm overrides them with failure-absorbing implementations.
-
-    def gather_degraded(self, obj: Any, root: int = 0) -> list[Any] | None:
-        """Like :meth:`gather`, but the root absorbs peer failures: lost
-        ranks contribute ``None`` and are recorded in :attr:`lost_ranks`."""
-        return self.gather(obj, root=root)
-
-    def bcast_degraded(self, obj: Any, root: int = 0) -> Any:
-        """Like :meth:`bcast`, but the root skips ranks already known lost
-        and absorbs fresh send failures."""
-        return self.bcast(obj, root=root)
-
-    def allreduce_degraded(self, obj: Any,
-                           op: Callable[[Any, Any], Any] = operator.add) -> Any:
-        """Like :meth:`allreduce`, reduced over the *surviving* ranks.
-
-        The broadcast payload piggybacks the root's lost-rank set, so all
+        ``op`` must be associative; application order is by ascending rank.
+        The broadcast result piggybacks rank 0's lost-rank set, so all
         survivors leave the call agreeing on the membership.
         """
-        return self.allreduce(obj, op=op)
+        gathered = self.gather(obj)
+        payload = None
+        if gathered is not None:
+            lost = self.lost_ranks
+            payload = (_functools_reduce(op, [v for r, v in enumerate(gathered)
+                                              if r not in lost]), lost)
+        value, lost = self.bcast(payload)
+        self.note_lost(lost)
+        return value
 
 
 class SerialComm(Comm):
-    """Single-process communicator: all collectives are identities."""
+    """Single-process communicator: every collective returns its input."""
 
     def __init__(self) -> None:
         self.rank = 0
@@ -219,6 +186,8 @@ class SerialComm(Comm):
 # -- framed reliable-delivery protocol over pipes ------------------------
 
 _DATA, _ACK, _NAK, _HB = 1, 2, 3, 4
+#: what a pipe operation raises once the peer has closed its end.
+_CLOSED = (BrokenPipeError, ConnectionResetError, EOFError)
 #: frame header: kind, sequence number, CRC32 of the payload.
 _FRAME = struct.Struct("<BII")
 
@@ -292,7 +261,7 @@ class PipeComm(Comm):
     Parameters
     ----------
     timeout:
-        Default per-message deadline (seconds) for both ``recv`` and the
+        Per-message deadline (seconds) for both ``recv`` and the
         acknowledgement wait in ``send``.  Expiry raises
         :class:`RankFailureError` -- the failure detector of last resort
         when pipe EOF does not surface a dead peer.
@@ -309,9 +278,6 @@ class PipeComm(Comm):
     fault_injector:
         Optional :class:`~repro.parallel.faults.RankFaultInjector` whose
         ``apply`` hook sees every frame transmission and receive wait.
-    attempt:
-        ``run_spmd`` respawn attempt number, exposed to rank functions
-        and fault hooks.
     """
 
     def __init__(self, rank: int, size: int, links: dict[int, Any], *,
@@ -320,8 +286,7 @@ class PipeComm(Comm):
                  max_resends: int = 3,
                  transient_retries: int = 4,
                  backoff_base: float = 0.05,
-                 fault_injector=None,
-                 attempt: int = 0) -> None:
+                 fault_injector=None) -> None:
         self.rank = rank
         self.size = size
         self._links = links
@@ -332,7 +297,6 @@ class PipeComm(Comm):
         self.max_resends = int(max_resends)
         self.transient_retries = int(transient_retries)
         self.backoff_base = float(backoff_base)
-        self.attempt = int(attempt)
         self._injector = fault_injector
         self._send_seq = {r: 0 for r in links}
         #: last delivered DATA sequence number per source (for dedup).
@@ -348,6 +312,9 @@ class PipeComm(Comm):
         self._last_heard = {r: 0.0 for r in links}
         self._hb_interval = self.resend_wait / 2.0
         self._last_hb = 0.0
+        #: peers whose connection closed; lost only once a send or recv
+        #: still needs them.
+        self._departed: set[int] = set()
         self._dead: dict[int, str] = {}
 
     # -- failure bookkeeping ---------------------------------------------
@@ -356,30 +323,33 @@ class PipeComm(Comm):
     def lost_ranks(self) -> tuple[int, ...]:
         return tuple(sorted(self._dead))
 
-    def note_lost(self, ranks: Sequence[int],
-                  reason: str = "reported by root") -> None:
+    def note_lost(self, ranks: Sequence[int]) -> None:
         for r in ranks:
             if r != self.rank:
-                self._dead.setdefault(int(r), reason)
+                self._dead.setdefault(int(r), "reported by root")
 
     def _mark_failed(self, peer: int, reason: str,
-                     detect_s: float | None = None) -> RankFailureError:
+                     detect_s: float) -> RankFailureError:
         """Record a peer loss (first detection emits telemetry) and build
         the error for the caller to raise."""
         if peer not in self._dead:
             self._dead[peer] = reason
             tel = get_telemetry()
             tel.metrics.counter("comm.rank_failures").inc()
-            if detect_s is not None:
-                tel.metrics.histogram("comm.failure_detect_s",
-                                      buckets=_DETECT_BUCKETS).observe(detect_s)
+            tel.metrics.histogram("comm.failure_detect_s",
+                                  buckets=_DETECT_BUCKETS).observe(detect_s)
             with tel.span("comm.rank_failure", peer=peer, rank=self.rank,
                           phase=self._phase, reason=reason,
-                          detect_s=round(detect_s, 6) if detect_s else 0.0):
+                          detect_s=round(detect_s, 6)):
                 pass
         return RankFailureError(peer, reason, self._phase)
 
-    def _check_alive(self, peer: int) -> None:
+    def _check_alive(self, peer: int, t0: float) -> None:
+        """Raise if ``peer`` is lost; a departed peer is lost from here on,
+        because the caller still needs it."""
+        if peer in self._departed:
+            raise self._mark_failed(peer, f"rank {peer} closed its connection",
+                                    time.monotonic() - t0)
         if peer in self._dead:
             raise RankFailureError(peer, self._dead[peer], self._phase)
 
@@ -387,14 +357,14 @@ class PipeComm(Comm):
 
     def _with_retries(self, peer: int, fn: Callable[[], Any], what: str,
                       t0: float) -> Any:
+        """Call ``fn``, retrying transient ``OSError`` with exponential
+        backoff; a closed link (:data:`_CLOSED`) propagates unchanged."""
         delay = self.backoff_base
         for i in range(self.transient_retries + 1):
             try:
                 return fn()
-            except (BrokenPipeError, ConnectionResetError, EOFError) as exc:
-                raise self._mark_failed(
-                    peer, f"connection lost during {what}: {exc!r}",
-                    time.monotonic() - t0)
+            except _CLOSED:
+                raise
             except OSError as exc:
                 if i == self.transient_retries:
                     raise self._mark_failed(
@@ -413,10 +383,19 @@ class PipeComm(Comm):
         kind, seq, crc = _FRAME.unpack_from(buf)
         return kind, seq, crc, buf[_FRAME.size:]
 
-    def _send_control(self, conn: Any, peer: int, kind: int, seq: int,
-                      t0: float) -> None:
-        frame = _FRAME.pack(kind, seq, 0)
-        self._with_retries(peer, lambda: conn.send_bytes(frame), "ack", t0)
+    @staticmethod
+    def _send_control(conn: Any, kind: int, seq: int) -> None:
+        """Write an ACK, NAK or heartbeat; a failed write is ignored.
+
+        A peer that wrote its last frame and exited may still have that
+        frame unread in the pipe, so the EOF after it -- not this write --
+        decides whether the peer is gone.  A lost ACK or NAK is recovered
+        by the sender's ack-timeout resend.
+        """
+        try:
+            conn.send_bytes(_FRAME.pack(kind, seq, 0))
+        except OSError:
+            pass
 
     # -- frame intake ------------------------------------------------------
 
@@ -436,7 +415,7 @@ class PipeComm(Comm):
         if kind != _DATA:
             return  # heartbeat (or unknown): liveness evidence only
         if rseq <= self._recv_seq[peer]:
-            self._send_control(conn, peer, _ACK, rseq, t0)
+            self._send_control(conn, _ACK, rseq)
             return
         expect = self._recv_seq[peer] + 1
         if rseq != expect or zlib.crc32(payload) != crc:
@@ -447,22 +426,24 @@ class PipeComm(Comm):
                     peer, f"message {expect} still corrupt after "
                           f"{self._nak_sent[peer]} resend requests",
                     time.monotonic() - t0)
-            self._send_control(conn, peer, _NAK, expect, t0)
+            self._send_control(conn, _NAK, expect)
             return
-        self._send_control(conn, peer, _ACK, rseq, t0)
+        self._send_control(conn, _ACK, rseq)
         self._recv_seq[peer] = rseq
         self._nak_sent[peer] = 0
         self._inbox[peer].append(payload)
 
-    def _service_links(self, wait_s: float, t0: float, focus: int) -> None:
+    def _service_links(self, wait_s: float, t0: float) -> None:
         """Wait up to ``wait_s`` for traffic on any live link and process it.
 
         Every blocking wait in the protocol funnels through here, so a rank
         stuck in a long ``recv`` still feeds ACKs to its *other* live
         peers.  Without this, a root waiting out a dead rank's deadline in
-        a linear gather would starve the remaining senders of ACKs for a
-        full ``timeout`` and they would spuriously declare the root lost.
-        Failures of peers other than ``focus`` are recorded, not raised.
+        a gather would starve the remaining senders of ACKs for a full
+        ``timeout`` and they would spuriously declare the root lost.
+        Nothing is raised here: a peer whose connection closed is recorded
+        as departed, other failures as lost, and the caller checks the one
+        peer it waits on.
 
         While waiting, a tiny heartbeat frame goes to every live peer each
         ``_hb_interval``, so peers watching *us* see liveness evidence even
@@ -471,17 +452,13 @@ class PipeComm(Comm):
         death, hangs, and compute phases -- which is why ``timeout`` must
         exceed the longest single compute phase of the algorithm.
         """
-        conns = {c: p for p, c in self._links.items() if p not in self._dead}
+        conns = {c: p for p, c in self._links.items()
+                 if p not in self._dead and p not in self._departed}
         now = time.monotonic()
         if now - self._last_hb >= self._hb_interval:
             self._last_hb = now
-            for conn, peer in list(conns.items()):
-                try:
-                    self._send_control(conn, peer, _HB, 0, t0)
-                except RankFailureError:
-                    del conns[conn]
-                    if peer == focus:
-                        raise
+            for conn in conns:
+                self._send_control(conn, _HB, 0)
         if not conns:
             if wait_s > 0:
                 time.sleep(min(wait_s, 0.005))
@@ -495,23 +472,23 @@ class PipeComm(Comm):
             peer = conns[conn]
             try:
                 self._intake(conn, peer, t0)
+            except _CLOSED:
+                self._departed.add(peer)
             except RankFailureError:
-                if peer == focus:
-                    raise
+                pass  # recorded in _dead by _mark_failed
 
     # -- point to point ----------------------------------------------------
 
-    def send(self, obj: Any, dest: int, timeout: float | None = None) -> None:
+    def send(self, obj: Any, dest: int) -> None:
         if dest == self.rank:
             raise ValueError("cannot send to self")
-        self._check_alive(dest)
+        t0 = time.monotonic()
+        self._check_alive(dest, t0)
         conn = self._links[dest]
         self._send_seq[dest] += 1
         seq = self._send_seq[dest]
         payload = _dumps(obj)
         frame = _FRAME.pack(_DATA, seq, zlib.crc32(payload)) + payload
-        t0 = time.monotonic()
-        limit = self.timeout if timeout is None else timeout
         transmissions = 0
         want_send = True
         while True:
@@ -520,17 +497,22 @@ class PipeComm(Comm):
                     data: Any = frame
                     if self._injector is not None:
                         out = self._injector.apply(CommEvent(
-                            "send", dest, self._phase, self.attempt, frame))
+                            "send", dest, self._phase, frame))
                         if out is DROP:
                             return
                         if out is not None:
                             data = out
                     conn.send_bytes(data)
-                self._with_retries(dest, transmit, "send", t0)
+                try:
+                    self._with_retries(dest, transmit, "send", t0)
+                except _CLOSED as exc:
+                    raise self._mark_failed(
+                        dest, f"connection lost during send: {exc!r}",
+                        time.monotonic() - t0)
                 transmissions += 1
                 if transmissions > 1:
                     get_telemetry().metrics.counter("comm.resends").inc()
-            verdict = self._await_ack(dest, seq, limit, t0)
+            verdict = self._await_ack(dest, seq, t0)
             if verdict == "ack":
                 return
             if verdict == "nak" and transmissions > self.max_resends:
@@ -542,13 +524,13 @@ class PipeComm(Comm):
             # live peer must not be declared dead before the deadline).
             want_send = transmissions <= self.max_resends
 
-    def _await_ack(self, dest: int, seq: int, limit: float,
-                   t0: float) -> str:
+    def _await_ack(self, dest: int, seq: int, t0: float) -> str:
         """Wait for the ACK/NAK of message ``seq`` sent to ``dest``.
 
         Returns ``"ack"`` / ``"nak"``, or ``"silent"`` after
-        ``resend_wait`` with no verdict; raises once ``dest`` has been
-        silent (no frames of any kind, heartbeats included) for ``limit``.
+        ``resend_wait`` with no verdict; raises once ``dest`` is lost or
+        has been silent (no frames of any kind, heartbeats included) for
+        ``timeout``.
         """
         wait_until = time.monotonic() + self.resend_wait
         while True:
@@ -562,104 +544,47 @@ class PipeComm(Comm):
                                 if kn[1] > seq]
             if verdict is not None:
                 return verdict
+            self._check_alive(dest, t0)
             now = time.monotonic()
-            deadline = max(t0, self._last_heard[dest]) + limit
+            deadline = max(t0, self._last_heard[dest]) + self.timeout
             if now >= deadline:
                 raise self._mark_failed(
-                    dest, f"rank {dest} silent for {now - deadline + limit:.2f}s"
+                    dest, f"rank {dest} silent for "
+                          f"{now - deadline + self.timeout:.2f}s"
                           f" awaiting acknowledgement of message {seq}",
                     now - t0)
             if now >= wait_until:
                 return "silent"
-            if dest in self._dead:
-                raise RankFailureError(dest, self._dead[dest], self._phase)
-            self._service_links(min(wait_until, deadline) - now, t0,
-                                focus=dest)
+            self._service_links(min(wait_until, deadline) - now, t0)
 
-    def recv(self, source: int, timeout: float | None = None) -> Any:
+    def recv(self, source: int) -> Any:
         if source == self.rank:
             raise ValueError("cannot receive from self")
-        self._check_alive(source)
         t0 = time.monotonic()
-        limit = self.timeout if timeout is None else timeout
         if self._injector is not None:
             self._with_retries(
                 source,
                 lambda: self._injector.apply(CommEvent(
-                    "recv", source, self._phase, self.attempt)),
+                    "recv", source, self._phase)),
                 "recv", t0)
         while True:
+            # A message the peer sent before it left is still delivered.
             if self._inbox[source]:
                 return _loads(self._inbox[source].pop(0))
-            self._check_alive(source)
+            self._check_alive(source, t0)
             now = time.monotonic()
-            deadline = max(t0, self._last_heard[source]) + limit
+            deadline = max(t0, self._last_heard[source]) + self.timeout
             if now >= deadline:
                 raise self._mark_failed(
-                    source, f"rank {source} silent for {limit:.2f}s waiting"
-                            f" for message {self._recv_seq[source] + 1}",
+                    source, f"rank {source} silent for {self.timeout:.2f}s"
+                            f" waiting for message {self._recv_seq[source] + 1}",
                     now - t0)
-            self._service_links(min(deadline - now, self.resend_wait), t0,
-                                focus=source)
-
-    # -- degraded collectives ----------------------------------------------
-
-    def gather_degraded(self, obj: Any, root: int = 0) -> list[Any] | None:
-        if self.rank == root:
-            out: list[Any] = [None] * self.size
-            out[root] = obj
-            for src in range(self.size):
-                if src == root or src in self._dead:
-                    continue
-                try:
-                    out[src] = self.recv(src)
-                except RankFailureError:
-                    pass  # recorded in _dead; survivor keeps going
-            return out
-        # Root loss is fatal: there is nobody left to coordinate recovery.
-        self.send(obj, root)
-        return None
-
-    def bcast_degraded(self, obj: Any, root: int = 0) -> Any:
-        if self.rank == root:
-            for dst in range(self.size):
-                if dst == root or dst in self._dead:
-                    continue
-                try:
-                    self.send(obj, dst)
-                except RankFailureError:
-                    pass
-            return obj
-        return self.recv(root)
-
-    def allreduce_degraded(self, obj: Any,
-                           op: Callable[[Any, Any], Any] = operator.add) -> Any:
-        if self.rank == 0:
-            gathered = self.gather_degraded(obj, root=0)
-            values = [gathered[r] for r in range(self.size)
-                      if r not in self._dead]
-            value = _functools_reduce(op, values)
-            self.bcast_degraded((value, self.lost_ranks), root=0)
-            return value
-        self.send(obj, 0)
-        value, lost = self.recv(0)
-        self.note_lost(lost)
-        return value
-
-
-@dataclass
-class _RankResult:
-    """Wire format a rank process reports back to the parent."""
-
-    rank: int
-    value: Any = None
-    error: str | None = None
-    traceback: str | None = None
+            self._service_links(min(deadline - now, self.resend_wait), t0)
 
 
 @dataclass
 class RankOutcome:
-    """Per-rank outcome of a non-strict :func:`run_spmd` run.
+    """Per-rank outcome of a :func:`run_spmd` run, as a rank reports it.
 
     ``error`` carries ``"ExcType: message"`` and ``traceback`` the full
     formatted traceback from the rank process; ``timed_out`` is set when
@@ -681,7 +606,7 @@ class RankOutcome:
 def _spmd_child(rank: int, size: int, all_links: list[dict[int, Any]],
                 result_conns: list[Any], fn: Callable[..., Any],
                 args: tuple, kwargs: dict, comm_kwargs: dict,
-                injector, attempt: int) -> None:
+                injector) -> None:
     # Close every inherited connection that belongs to another rank.  This
     # is what makes failure detection fast: once only the owning process
     # holds a pipe end, that process dying closes the pipe and peers see
@@ -701,12 +626,12 @@ def _spmd_child(rank: int, size: int, all_links: list[dict[int, Any]],
                 pass
     result_conn = result_conns[rank]
     comm = PipeComm(rank, size, all_links[rank], fault_injector=injector,
-                    attempt=attempt, **comm_kwargs)
+                    **comm_kwargs)
     try:
         value = fn(comm, *args, **kwargs)
-        result_conn.send(_RankResult(rank, value=value))
+        result_conn.send(RankOutcome(rank, value=value))
     except Exception as exc:  # noqa: BLE001 - relayed to the parent
-        result_conn.send(_RankResult(rank, error=f"{type(exc).__name__}: {exc}",
+        result_conn.send(RankOutcome(rank, error=f"{type(exc).__name__}: {exc}",
                                      traceback=traceback.format_exc()))
     finally:
         result_conn.close()
@@ -734,9 +659,9 @@ def _reap(procs: list, result_parents: list[Any]) -> None:
             pass
 
 
-def _run_attempt(fn: Callable[..., Any], nprocs: int, args: tuple,
-                 kwargs: dict, timeout: float, comm_kwargs: dict,
-                 faults: dict | None, attempt: int) -> list[RankOutcome]:
+def _run(fn: Callable[..., Any], nprocs: int, args: tuple, kwargs: dict,
+         timeout: float, comm_kwargs: dict,
+         faults: dict | None) -> list[RankOutcome]:
     ctx = get_context()
     # links[i][j]: connection rank i uses to talk to rank j.
     links: list[dict[int, Any]] = [dict() for _ in range(nprocs)]
@@ -757,7 +682,7 @@ def _run_attempt(fn: Callable[..., Any], nprocs: int, args: tuple,
         p = ctx.Process(
             target=_spmd_child,
             args=(rank, nprocs, links, result_children, fn, args, kwargs,
-                  comm_kwargs, (faults or {}).get(rank), attempt),
+                  comm_kwargs, (faults or {}).get(rank)),
             daemon=True,
         )
         procs.append(p)
@@ -783,9 +708,7 @@ def _run_attempt(fn: Callable[..., Any], nprocs: int, args: tuple,
 
     def deliver(conn: Any, r: int) -> None:
         try:
-            res: _RankResult = conn.recv()
-            outcomes[r] = RankOutcome(r, value=res.value, error=res.error,
-                                      traceback=res.traceback)
+            outcomes[r] = conn.recv()
         except (EOFError, OSError):
             code = procs[r].exitcode
             outcomes[r] = RankOutcome(
@@ -831,8 +754,6 @@ def run_spmd(fn: Callable[..., Any], nprocs: int, *args: Any,
              timeout: float = 120.0,
              comm_timeout: float | None = None,
              faults: dict | None = None,
-             max_restarts: int = 0,
-             restart_backoff: float = 0.25,
              strict: bool = True,
              **kwargs: Any) -> list[Any]:
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` ranks; return all results.
@@ -848,13 +769,7 @@ def run_spmd(fn: Callable[..., Any], nprocs: int, *args: Any,
     :class:`~repro.parallel.faults.RankFaultInjector` instances for chaos
     testing.
 
-    ``max_restarts`` enables respawn-and-retry for *idempotent* rank
-    functions: when any rank fails, the whole mesh is torn down, the
-    parent sleeps ``restart_backoff * 2**attempt`` seconds, and all ranks
-    are relaunched (their comms carry the new ``attempt`` number) -- up to
-    ``max_restarts`` times before the failure is reported.
-
-    With ``strict=True`` (default) any surviving failure raises a
+    With ``strict=True`` (default) any rank failure raises a
     ``RuntimeError`` naming the failing ranks and carrying their full
     tracebacks.  With ``strict=False`` the call never raises on rank
     failures and instead returns a list of :class:`RankOutcome`, so chaos
@@ -875,19 +790,10 @@ def run_spmd(fn: Callable[..., Any], nprocs: int, *args: Any,
                                 traceback=traceback.format_exc())]
 
     comm_kwargs = {} if comm_timeout is None else {"timeout": comm_timeout}
-    tel = get_telemetry()
-    with tel.span("spmd.run", nprocs=nprocs) as sp:
-        attempt = 0
-        while True:
-            outcomes = _run_attempt(fn, nprocs, args, kwargs, timeout,
-                                    comm_kwargs, faults, attempt)
-            failures = [o for o in outcomes if not o.ok]
-            if not failures or attempt >= max_restarts:
-                break
-            tel.metrics.counter("spmd.respawns").inc()
-            time.sleep(restart_backoff * (2 ** attempt))
-            attempt += 1
-        sp.set(attempts=attempt + 1, failed_ranks=len(failures))
+    with get_telemetry().span("spmd.run", nprocs=nprocs) as sp:
+        outcomes = _run(fn, nprocs, args, kwargs, timeout, comm_kwargs, faults)
+        failures = [o for o in outcomes if not o.ok]
+        sp.set(failed_ranks=len(failures))
 
     if not strict:
         return outcomes

@@ -28,14 +28,14 @@ Each family can be scheduled either by operation count (``crash_at=(3,)``
 fires on this rank's third comm operation) or by pipeline phase
 (``crash_in_phase="insitu.sample_gather"`` fires on the first operation
 inside that phase; phases are declared by the algorithms through
-:meth:`~repro.parallel.comm.Comm.phase`).  ``on_attempts`` restricts
-firing to specific ``run_spmd`` respawn attempts, which is how tests
-exercise respawn-and-retry: the fault fires on attempt 0 and the retried
-attempt runs clean.
+:meth:`~repro.parallel.comm.Comm.phase`).
 
-:class:`RankFailureError` is what every *survivor* of a lost rank
-raises: bounded-wait communication converts what used to be an infinite
-``Connection.recv`` block into a loud, attributable failure.
+:class:`RankFailureError` is what a point-to-point operation raises when
+its peer is lost: bounded-wait communication turns what would be an
+infinite ``Connection.recv`` block into a loud, attributable failure.
+The collectives absorb it for every rank but the root, so survivors
+finish with the casualty reported; only the loss of rank 0 reaches the
+caller.
 """
 
 from __future__ import annotations
@@ -62,17 +62,16 @@ class CommEvent:
     """One communicator operation, as seen by the injectable comm hook.
 
     ``op`` is ``"send"`` or ``"recv"``; ``peer`` the remote rank;
-    ``phase`` the declared pipeline phase; ``attempt`` the ``run_spmd``
-    respawn attempt; ``data`` the framed bytes about to be transmitted
-    (``None`` for receive-side events).  Send-side events fire once per
-    transmission, so resends are observed (and counted) individually,
-    exactly like retried writes in the disk injector.
+    ``phase`` the declared pipeline phase; ``data`` the framed bytes
+    about to be transmitted (``None`` for receive-side events).
+    Send-side events fire once per transmission, so resends are observed
+    (and counted) individually, exactly like retried writes in the disk
+    injector.
     """
 
     op: str
     peer: int
     phase: str
-    attempt: int
     data: bytes | None = None
 
 
@@ -103,7 +102,6 @@ class RankFaultInjector:
                  error_in_phase: str | None = None,
                  hang_seconds: float = 3600.0,
                  flip_bit: int = 0,
-                 on_attempts: tuple[int, ...] | None = None,
                  exit_code: int = 41) -> None:
         for name, at in (("crash_at", crash_at), ("hang_at", hang_at),
                          ("drop_at", drop_at), ("flip_at", flip_at),
@@ -126,7 +124,6 @@ class RankFaultInjector:
         self.error_in_phase = error_in_phase
         self.hang_seconds = float(hang_seconds)
         self.flip_bit = int(flip_bit)
-        self.on_attempts = None if on_attempts is None else frozenset(on_attempts)
         self.exit_code = int(exit_code)
         self.ops_seen = 0
         self._fired: set[tuple[str, object]] = set()
@@ -153,8 +150,6 @@ class RankFaultInjector:
         """
         self.ops_seen += 1
         n = self.ops_seen
-        if self.on_attempts is not None and event.attempt not in self.on_attempts:
-            return None
         if self._fires("crash", n, event):
             # A real crash: no cleanup, no result, connections die with us.
             os._exit(self.exit_code)

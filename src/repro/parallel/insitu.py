@@ -25,11 +25,11 @@ The per-point guarantee is exactly the serial one: sharing the table only
 affects bin placement, never the exactness check.
 
 **Degraded-mode recovery:** a checkpoint must still be produced when a
-peer rank dies or hangs mid-collective, so every communication step runs
-through the failure-absorbing ``*_degraded`` collectives.  Rank 0 fits the model from
-the samples of the *surviving* ranks and piggybacks the lost-rank set on
-its broadcasts, so all survivors agree on the membership and finish with
-identical statistics.  Crucially the per-point error bound is unaffected:
+peer rank dies or hangs mid-collective, and every collective absorbs
+such a loss.  Rank 0 fits the model from the samples of the *surviving*
+ranks and piggybacks the lost-rank set on its broadcasts, so all
+survivors agree on the membership and finish with identical statistics.
+Crucially the per-point error bound is unaffected:
 the shared table only steers bin placement, and every surviving rank
 still error-checks its own points exhaustively.  The result's
 :class:`GlobalStats` then reports ``degraded=True`` with the
@@ -172,7 +172,7 @@ def parallel_encode(
             block = encode_block(ratios, forced, curr, model_hint, cfg,
                                  cand_idx)
             with comm.phase("insitu.hint_validate"):
-                totals = comm.allreduce_degraded(
+                totals = comm.allreduce(
                     np.array([cand.size, block.n_fail], dtype=np.int64))
             n_cand_global = int(totals[0])
             fail_frac = int(totals[1]) / n_cand_global if n_cand_global else 0.0
@@ -193,7 +193,7 @@ def parallel_encode(
 
             sketch = RatioSketch(cfg.error_bound).add(cand)
             with comm.phase("insitu.sketch_allreduce"):
-                sketch.counts = comm.allreduce_degraded(sketch.counts)
+                sketch.counts = comm.allreduce(sketch.counts)
             if sketch.total:
                 reps = sketch.fit_model(cfg.n_bins,
                                         max_iter=cfg.kmeans_max_iter).representatives
@@ -204,7 +204,7 @@ def parallel_encode(
             sample = bounded_sample(cand, sample_per_rank,
                                     cfg.seed + comm.rank)
             with comm.phase("insitu.sample_gather"):
-                gathered = comm.gather_degraded(sample, root=0)
+                gathered = comm.gather(sample)
             if comm.rank == 0:
                 live = [g for g in (gathered or [])
                         if g is not None and g.size]
@@ -220,7 +220,7 @@ def parallel_encode(
             else:
                 payload = None
             with comm.phase("insitu.fit_bcast"):
-                payload = comm.bcast_degraded(payload, root=0)
+                payload = comm.bcast(payload)
             reps, lost_at_fit = payload
             # Survivors adopt the root's view of the membership so later
             # collectives skip the casualties without re-detecting them.
@@ -240,7 +240,7 @@ def parallel_encode(
                     local = int(np.count_nonzero(
                         np.abs(m.approximate(cand) - cand) >= cfg.error_bound
                     )) if cand.size else 0
-                    return comm.allreduce_degraded(local)
+                    return comm.allreduce(local)
 
                 if global_fails(candidate) <= global_fails(reps):
                     reps = candidate
@@ -256,7 +256,7 @@ def parallel_encode(
         local[:2] = encoded.n_points, encoded.n_incompressible
         local[2 + comm.rank] = 1
         with comm.phase("insitu.stats"):
-            totals = comm.allreduce_degraded(local)
+            totals = comm.allreduce(local)
         lost = [int(r) for r in np.flatnonzero(totals[2:] == 0)]
         stats = GlobalStats(
             n_points=int(totals[0]),

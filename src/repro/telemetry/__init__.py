@@ -13,7 +13,7 @@ clustering, encoding and I/O.  This package instruments those stages:
   salvaged, Lloyd sweeps to convergence, incompressible fraction.
   Fault-tolerant communication adds ``comm.rank_failures``,
   ``comm.transient_retries``, ``comm.resends``, ``comm.crc_errors``,
-  ``spmd.respawns``, ``insitu.degraded_encodes`` and the
+  ``insitu.degraded_encodes`` and the
   ``comm.failure_detect_s`` detection-latency histogram, plus
   zero-duration ``comm.rank_failure`` spans marking each first
   detection.
