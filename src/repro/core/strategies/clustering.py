@@ -25,6 +25,9 @@ For very large iterations the fit subsamples the candidates (keeping the
 extremes) before running Lloyd; assignment still covers every point, so the
 error guarantee is unaffected -- only bin placement is approximated, which
 matches how the paper's distributed k-means operates on local shards.
+
+A fit sorts the candidates once; every step but the stochastic seeds
+(which draw points by position) reads that sorted copy.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import numpy as np
 from repro.core.strategies.base import (ApproximationStrategy, BinModel,
                                         bounded_sample)
 from repro.kmeans import histogram_init, kmeans1d, kmeanspp_init, random_init
+from repro.kmeans.init import _ascending
 from repro.telemetry.tracer import get_telemetry
 
 __all__ = ["ClusteringStrategy"]
@@ -45,6 +49,16 @@ _INITS = {
 }
 
 _SPACES = ("auto", "linear", "asinh")
+
+
+def _sorted_approximation(model: BinModel, xs: np.ndarray) -> np.ndarray:
+    """``model.approximate(xs)`` for sorted ``xs``: each representative
+    covers the run between its midpoints (``MidpointTable``'s, ties low)."""
+    reps = model.representatives
+    with np.errstate(over="ignore"):
+        mids = 0.5 * (reps[:-1] + reps[1:])
+    cuts = np.searchsorted(xs, mids, side="right")
+    return np.repeat(reps, np.diff(cuts, prepend=0, append=xs.size))
 
 
 class ClusteringStrategy(ApproximationStrategy):
@@ -96,25 +110,27 @@ class ClusteringStrategy(ApproximationStrategy):
     def from_config(cls, config) -> "ClusteringStrategy":
         return cls(max_iter=config.kmeans_max_iter, seed=config.seed)
 
-    def _fit_space(self, sample: np.ndarray, k: int, error_bound: float,
-                   space: str, warm: np.ndarray | None = None) -> BinModel:
-        if space == "asinh":
-            points = np.arcsinh(sample / error_bound)
-        else:
-            points = sample
+    def _fit_space(self, sample: np.ndarray, ordered: np.ndarray, k: int,
+                   error_bound: float, space: str,
+                   warm: np.ndarray | None = None) -> BinModel:
+        """Fit one space; ``ordered`` is ``sample`` sorted."""
+        if space == "asinh":  # monotone: the result stays sorted
+            ordered = np.arcsinh(ordered / error_bound)
         if warm is not None and warm.size:
             # Warm start: restart Lloyd from the cached representatives,
             # transformed into the clustering space.
             seeds = np.arcsinh(warm / error_bound) if space == "asinh" else warm
-            result = kmeans1d(points, max_iter=self.max_iter,
+            result = kmeans1d(ordered, max_iter=self.max_iter,
                               warm_start=seeds, k=k)
         else:
-            init_fn = _INITS[self.init]
             if self.init == "histogram":
-                centroids = init_fn(points, k)
+                centroids = histogram_init(ordered, k)
             else:
-                centroids = init_fn(points, k, rng=np.random.default_rng(self.seed))
-            result = kmeans1d(points, centroids, max_iter=self.max_iter)
+                points = (np.arcsinh(sample / error_bound)
+                          if space == "asinh" else sample)
+                centroids = _INITS[self.init](
+                    points, k, rng=np.random.default_rng(self.seed))
+            result = kmeans1d(ordered, centroids, max_iter=self.max_iter)
         reps = result.centroids
         if space == "asinh":
             reps = np.sinh(reps) * error_bound
@@ -130,16 +146,19 @@ class ClusteringStrategy(ApproximationStrategy):
         with get_telemetry().span("strategy.clustering.fit",
                                   n_ratios=arr.size, k=k,
                                   bytes_in=arr.nbytes) as sp:
-            uniq = np.unique(arr)
+            xs = np.sort(arr)  # the fit's one sort
+            uniq = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
             if uniq.size <= k:
                 # Fewer distinct ratios than bins: every point is representable
                 # exactly, no clustering needed.
                 sp.set(n_bins=int(uniq.size), space="exact")
                 return BinModel(uniq)
             sample = bounded_sample(arr, self.sample_limit, self.seed)
+            ordered = _ascending(sample, xs if sample is arr else None)
             sp.set(n_sampled=int(sample.size), warm_started=warm is not None)
             if self.space != "auto":
-                model = self._fit_space(sample, k, error_bound, self.space, warm)
+                model = self._fit_space(sample, ordered, k, error_bound,
+                                        self.space, warm)
                 sp.set(n_bins=int(model.representatives.size), space=self.space)
                 return model
             # Safeguarded selection: Lloyd minimises L2 inertia, not coverage,
@@ -147,17 +166,12 @@ class ClusteringStrategy(ApproximationStrategy):
             # the equal-width prior it was seeded from.
             from repro.core.strategies.equal_width import EqualWidthStrategy
 
-            # The fail count ignores point order, and the bin assign's
-            # binary-search fallback runs ~3x faster over sorted keys.  A
-            # copy: the stochastic inits index into ``sample`` by position.
-            ordered = np.sort(sample)
-
             def fails(model: BinModel) -> int:
-                return int(np.count_nonzero(
-                    np.abs(model.approximate(ordered) - ordered) >= error_bound
-                ))
+                approx = _sorted_approximation(model, ordered)
+                return int(np.count_nonzero(abs(approx - ordered) >= error_bound))
 
-            linear = self._fit_space(sample, k, error_bound, "linear", warm)
+            linear = self._fit_space(sample, ordered, k, error_bound,
+                                     "linear", warm)
             fails_linear = fails(linear)
             if fails_linear == 0:
                 # Full coverage already -- the common benign case; skip the
@@ -165,8 +179,9 @@ class ClusteringStrategy(ApproximationStrategy):
                 sp.set(n_bins=int(linear.representatives.size), space="linear")
                 return linear
             candidates = [linear,
-                          self._fit_space(sample, k, error_bound, "asinh", warm),
-                          EqualWidthStrategy().fit(sample, k, error_bound)]
+                          self._fit_space(sample, ordered, k, error_bound,
+                                          "asinh", warm),
+                          EqualWidthStrategy().fit(ordered, k, error_bound)]
             counts = [fails_linear, fails(candidates[1]), fails(candidates[2])]
             pick = int(np.argmin(counts))
             model = candidates[pick]

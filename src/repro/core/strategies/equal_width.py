@@ -41,6 +41,6 @@ class EqualWidthStrategy(ApproximationStrategy):
             # representative assignment is unchanged for occupied regions only
             # when representatives are exactly the occupied-bin centers.
             idx = np.clip(((arr - lo) / (hi - lo) * k).astype(np.int64), 0, k - 1)
-            occupied = np.unique(idx)
+            occupied = np.flatnonzero(np.bincount(idx, minlength=k))
             sp.set(n_bins=int(occupied.size))
             return BinModel(centers[occupied])

@@ -20,6 +20,23 @@ def _as_1d(data: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _ascending(data: np.ndarray, xs: np.ndarray | None = None) -> np.ndarray:
+    """``data`` if it is non-decreasing (an O(n) check; NaN fails it), else
+    ``xs`` (``np.sort(data)``, computed if not given) with ``data``'s zero
+    signs restored: ``np.sort`` may return either of two equal zeros, and
+    an all-zero cluster's mean takes its sign from them."""
+    if np.all(data[:-1] <= data[1:]):
+        return data
+    xs = np.sort(data) if xs is None else xs
+    lo = np.searchsorted(xs, 0.0, side="left")
+    hi = np.searchsorted(xs, 0.0, side="right")
+    if hi > lo:
+        neg = lo + np.count_nonzero(np.signbit(data[data == 0.0]))
+        xs[lo:neg] = -0.0
+        xs[neg:hi] = 0.0
+    return xs
+
+
 def _pad_unique(centroids: np.ndarray, k: int, lo: float, hi: float) -> np.ndarray:
     """Deduplicate and pad a centroid set to exactly ``k`` distinct values."""
     uniq = np.unique(centroids)
@@ -45,6 +62,9 @@ def histogram_init(data: np.ndarray, k: int, oversample: int = 4) -> np.ndarray:
     Dense regions of the change-ratio distribution therefore start with
     nearby centroids, which is exactly the prior the paper exploits.
 
+    The bins are ``np.histogram``'s (``[e_i, e_i+1)``, the last closed),
+    counted by binary search of the edges in the data, sorted if it is not.
+
     Returns a sorted array of ``k`` distinct centroids.
     """
     arr = _as_1d(data)
@@ -54,12 +74,16 @@ def histogram_init(data: np.ndarray, k: int, oversample: int = 4) -> np.ndarray:
     if lo == hi:
         return _pad_unique(np.array([lo]), k, lo, hi)
     nbins = max(k * max(oversample, 1), k)
-    if lo + (hi - lo) / nbins == lo:
-        # Range too narrow for this many finite bins (float underflow):
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(lo, hi, nbins + 1)
+    if not np.all(edges[:-1] < edges[1:]):
+        # Range too narrow (or too wide) for this many finite bins:
         # seed from evenly spaced quantiles instead.
         qs = np.quantile(arr, np.linspace(0.0, 1.0, k))
         return _pad_unique(qs, k, lo, hi)
-    counts, edges = np.histogram(arr, bins=nbins, range=(lo, hi))
+    below = np.searchsorted(_ascending(arr), edges, side="left")
+    below[-1] = arr.size
+    counts = np.diff(below)
     centers = 0.5 * (edges[:-1] + edges[1:])
     occupied = np.flatnonzero(counts > 0)
     # Rank occupied bins by population, keep the k densest, sorted by position.

@@ -10,11 +10,11 @@ fallback); it serves :func:`assign1d` and the encoder's per-point
 assignment alike.
 
 Lloyd goes further: in 1-D every cluster is a contiguous run of the
-*sorted* data, so :func:`kmeans1d` sorts the points once per fit
+*sorted* data, so :func:`kmeans1d` sorts unsorted points once per fit
 (O(n log n)) and each sweep only locates the k - 1 cluster boundaries
 by binary search of the midpoints in the sorted data and sums the
-segments between them -- O(k log n + n) per sweep, with labels mapped
-back to input order once, after the last sweep.
+segments between them -- O(k log n + n) per sweep.  Labels are the last
+sweep's runs for sorted input, else one :func:`assign1d` pass.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kmeans.init import _ascending, warm_start_init
 from repro.telemetry.tracer import get_telemetry
 
 __all__ = ["KMeansResult", "MidpointTable", "assign1d", "kmeans1d", "kmeans"]
@@ -132,7 +133,7 @@ def assign1d(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 class _SortedMoments:
-    """Per-cluster moments of 1-D points sorted once per fit.
+    """Per-cluster moments of 1-D points sorted at most once per fit.
 
     The kernel shared by :func:`kmeans1d` and
     :func:`~repro.kmeans.parallel_kmeans1d`.  Calling it with sorted
@@ -140,35 +141,38 @@ class _SortedMoments:
     the nearest-centroid partition, using :func:`assign1d`'s tie rule: a
     point's label is the number of midpoints strictly below it, so each
     cluster is a sorted run whose inner edges are
-    ``searchsorted(xs, mids, side="right")``.  Segment sums go through
-    ``np.add.reduceat``, not prefix-sum differences, so one cluster's sum
-    never carries the round-off of values outside it (heavy-tailed ratio
-    sets would leak their outliers into every cluster).
+    ``searchsorted(xs, mids, side="right")``; ``sizes`` keeps the last
+    call's run lengths.  Unweighted data is sorted only if it is not
+    already (``presorted``); weighted data is argsorted.  Segment sums go
+    through ``np.add.reduceat``, not prefix-sum differences, so one
+    cluster's sum never carries the round-off of values outside it
+    (heavy-tailed ratio sets would leak their outliers into every cluster).
     """
 
-    def __init__(self, data: np.ndarray, weights: np.ndarray | None = None):
-        # Equal values may come out in any order; that changes no label and
-        # no unweighted sum, so the fastest (default) kind will do.
-        self.order = np.argsort(data)
-        self.xs = data[self.order]
+    def __init__(self, data: np.ndarray, k: int,
+                 weights: np.ndarray | None = None):
         if weights is None:
+            self.xs = _ascending(data)
             self.ws = self.wxs = None
         else:
-            self.ws = weights[self.order]
+            order = np.argsort(data)
+            self.xs = data[order]
+            self.ws = weights[order]
             self.wxs = self.xs * self.ws
-
-    def _edges(self, cent: np.ndarray) -> np.ndarray:
-        """Cluster j is the sorted run ``xs[edges[j]:edges[j + 1]]``."""
-        mids = 0.5 * (cent[:-1] + cent[1:])
-        return np.concatenate(
-            ([0], np.searchsorted(self.xs, mids, side="right"), [self.xs.size]))
+        self.presorted = self.xs is data
+        # Cluster j is the sorted run ``xs[edges[j]:edges[j + 1]]``.
+        self.edges = np.zeros(k + 1, dtype=np.intp)
+        self.edges[-1] = self.xs.size
 
     def __call__(self, cent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        edges = self._edges(cent)
-        sizes = np.diff(edges)
+        edges = self.edges
+        edges[1:-1] = np.searchsorted(self.xs, 0.5 * (cent[:-1] + cent[1:]),
+                                      side="right")
+        sizes = self.sizes = np.diff(edges)
         counts = sizes.astype(np.float64)
         sums = np.zeros(cent.size)
-        filled = sizes > 0
+        # reduceat needs distinct in-range starts: mask out empty runs.
+        filled = slice(None) if sizes.all() else sizes > 0
         starts = edges[:-1][filled]
         if self.ws is None:
             sums[filled] = np.add.reduceat(self.xs, starts)
@@ -217,11 +221,12 @@ def kmeans1d(
 
     Notes
     -----
-    The data are sorted once per fit (O(n log n)); each sweep then costs
-    O(k log n + n): a binary search of the k - 1 centroid midpoints in
-    the sorted data plus one pass of segment sums.  Centroids are
+    Unsorted data are sorted once per fit (O(n log n)); each sweep then
+    costs O(k log n + n): a binary search of the k - 1 centroid midpoints
+    in the sorted data plus one pass of segment sums.  Centroids are
     re-sorted after every update so the midpoints stay ordered.  Labels
-    come from :func:`assign1d` once, after the last sweep.
+    of sorted input are the last sweep's runs; other input is labelled
+    by :func:`assign1d` once, after the last sweep.
     """
     arr = np.asarray(data, dtype=np.float64).ravel()
     if arr.size == 0:
@@ -229,8 +234,6 @@ def kmeans1d(
     if warm_start is not None:
         if centroids is not None:
             raise ValueError("pass either centroids or warm_start, not both")
-        from repro.kmeans.init import warm_start_init
-
         cached = np.asarray(warm_start, dtype=np.float64).ravel()
         target_k = k if k is not None else max(int(np.unique(cached).size), 1)
         centroids = warm_start_init(arr, target_k, cached)
@@ -251,24 +254,23 @@ def kmeans1d(
     tel = get_telemetry()
     with tel.span("kmeans.lloyd", n_points=arr.size, k=k,
                   bytes_in=arr.nbytes) as tspan:
-        span = float(arr.max() - arr.min())
+        moments = _SortedMoments(arr, k, w)
+        span = float(moments.xs[-1] - moments.xs[0])
         move_tol = tol * (span if span > 0 else 1.0)
 
         # sum w x^2 once; with the per-cluster moments (n_c, S_c) the
         # inertia after any sweep is sumsq - 2 c.S + n.c^2, so the history
         # costs two k-sized dot products per sweep instead of an O(n) pass.
         sumsq = float(np.sum(arr * arr if w is None else arr * arr * w))
-        moments = _SortedMoments(arr, w)
         counts, sums = moments(cent)
         history: list[float] = []
         n_iter = 0
         converged = False
         for n_iter in range(1, max_iter + 1):
-            new = cent.copy()
-            nonempty = counts > 0
-            new[nonempty] = sums[nonempty] / counts[nonempty]
-            new = np.sort(new)
-            move = float(np.max(np.abs(new - cent))) if k else 0.0
+            new = (sums / counts if counts.all() else  # an empty cluster stays
+                   np.divide(sums, counts, out=cent.copy(), where=counts > 0))
+            new.sort()
+            move = float(np.max(np.abs(new - cent)))
             cent = new
             counts, sums = moments(cent)
             history.append(max(
@@ -278,7 +280,8 @@ def kmeans1d(
             if move <= move_tol:
                 converged = True
                 break
-        labels = assign1d(arr, cent)
+        labels = (np.repeat(np.arange(k, dtype=np.int32), moments.sizes)
+                  if moments.presorted else assign1d(arr, cent))
         sq = (arr - cent[labels]) ** 2
         inertia = float(np.sum(sq if w is None else sq * w))
         tspan.set(n_iter=n_iter, converged=converged, inertia=inertia)

@@ -83,7 +83,7 @@ def parallel_kmeans1d(
         # it at one allreduce per sweep.
         local_sumsq = float(np.sum(arr * arr)) if arr.size else 0.0
         sumsq = comm.allreduce(local_sumsq)
-        moments = _SortedMoments(arr)
+        moments = _SortedMoments(arr, k)
 
         def local_sums(cent: np.ndarray) -> np.ndarray:
             counts, sums = moments(cent)

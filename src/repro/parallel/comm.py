@@ -710,6 +710,9 @@ def _run(fn: Callable[..., Any], nprocs: int, args: tuple, kwargs: dict,
         try:
             outcomes[r] = conn.recv()
         except (EOFError, OSError):
+            # The pipe can close before the process exits: join it (within
+            # the deadline) so the outcome names the real exit code.
+            procs[r].join(max(deadline - time.monotonic(), 0.0))
             code = procs[r].exitcode
             outcomes[r] = RankOutcome(
                 r, error=f"rank process died without a result "

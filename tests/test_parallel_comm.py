@@ -1,5 +1,10 @@
 """Communicator protocol and SPMD harness tests."""
 
+import gc
+import os
+import time
+from multiprocessing.connection import Connection
+
 import numpy as np
 import pytest
 
@@ -62,6 +67,19 @@ def _failing_worker(comm):
     return comm.rank
 
 
+def _closes_pipes_then_exits(comm):
+    if comm.rank == 1:
+        # Close every connection (the result pipe too) but not the process
+        # sentinel, which only the exit closes: the harness sees EOF on
+        # the result pipe well before the process has an exit code.
+        for obj in gc.get_objects():
+            if isinstance(obj, Connection):
+                obj.close()
+        time.sleep(0.3)
+        os._exit(41)
+    return comm.rank
+
+
 class TestSPMDHarness:
     def test_numpy_payloads(self):
         results = run_spmd(_numpy_worker, 3)
@@ -74,6 +92,13 @@ class TestSPMDHarness:
     def test_errors_are_relayed(self):
         with pytest.raises(RuntimeError, match="rank 1: RuntimeError: boom"):
             run_spmd(_failing_worker, 2)
+
+    def test_dead_rank_reports_its_exit_code(self):
+        outcomes = run_spmd(_closes_pipes_then_exits, 2, strict=False,
+                            timeout=60)
+        assert outcomes[0].ok and outcomes[0].value == 0
+        assert not outcomes[1].ok
+        assert "exitcode 41" in outcomes[1].error
 
     def test_bad_nprocs(self):
         with pytest.raises(ValueError):
